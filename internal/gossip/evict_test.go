@@ -1,13 +1,14 @@
 package gossip
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// evictReference is the per-victim min-scan evict replaced by the sorted
-// k-smallest selection: repeatedly mark the stalest eligible record
+// evictReference is the per-victim min-scan evict that the counting-pass
+// victim selection replaced: repeatedly mark the stalest eligible record
 // (strict <, so ties fall to the lowest index), then compact. The
 // equivalence test pins the rewrite to this exact victim choice — the
 // cache contents feed RPM pricing, so a different (even equally stale)
@@ -38,39 +39,67 @@ func evictReference(to, capacity int, out []StateRecord) []StateRecord {
 	return dst
 }
 
+// TestEvictMatchesReference pins evict to the reference's victim choice
+// over random merged views. The timestamp shapes cover the protocol's
+// coarse cycle instants (few distinct values, plenty of ties), fine-grained
+// stamps (many more distinct values than a live view holds), and all
+// stamps equal; the owner rule covers views where only the owner's record
+// is eligible, so over exceeds the eligible count.
 func TestEvictMatchesReference(t *testing.T) {
 	const nodes = 64
+	shapes := []struct {
+		name  string
+		stamp func(rng *rand.Rand) float64
+	}{
+		{"cycle-instants", func(rng *rand.Rand) float64 { return float64(rng.Intn(5)) }},
+		{"fine-grained", func(rng *rand.Rand) float64 { return rng.Float64() * 1000 }},
+		{"all-equal", func(*rand.Rand) float64 { return 300 }},
+	}
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 5000; trial++ {
-		n := 1 + rng.Intn(24)
-		capacity := 1 + rng.Intn(12)
-		// Half the trials put the cache owner among the merged records
-		// (its record is never evicted).
-		to := rng.Intn(nodes)
-		merged := make([]StateRecord, n)
-		for i := range merged {
-			merged[i] = StateRecord{
-				Node: i * 2, // sorted origins; collides with even `to`s
-				// Coarse timestamps force plenty of ties.
-				Timestamp: float64(rng.Intn(5)),
-				TTL:       rng.Intn(4),
-				Capacity:  float64(1 + rng.Intn(16)),
+	for _, shape := range shapes {
+		for trial := 0; trial < 5000; trial++ {
+			n := 1 + rng.Intn(24)
+			capacity := 1 + rng.Intn(12)
+			// Half the trials put the cache owner among the merged records
+			// (its record is never evicted).
+			to := rng.Intn(nodes)
+			merged := make([]StateRecord, n)
+			for i := range merged {
+				merged[i] = StateRecord{
+					Node:      i * 2, // sorted origins; collides with even `to`s
+					Timestamp: shape.stamp(rng),
+					TTL:       rng.Intn(4),
+					Capacity:  float64(1 + rng.Intn(16)),
+				}
 			}
+			checkEvict(t, fmt.Sprintf("%s trial %d", shape.name, trial), to, capacity, merged)
 		}
-		want := evictReference(to, capacity, append([]StateRecord(nil), merged...))
+	}
+	// Views where over exceeds the eligible count: the owner's record
+	// alone (nothing may go), and the owner's plus one other (the other
+	// goes, the owner's stays).
+	own := StateRecord{Node: 3, Timestamp: 0, TTL: 1}
+	checkEvict(t, "owner only", 3, 0, []StateRecord{own})
+	checkEvict(t, "owner and one", 3, 0, []StateRecord{{Node: 1, Timestamp: 600, TTL: 2}, own})
+}
 
-		p := &Protocol{
-			cfg:     Config{CacheCapacity: capacity},
-			cache:   make([][]StateRecord, nodes),
-			version: make([]uint32, nodes),
-		}
-		p.selBuf = p.evict(to, append([]StateRecord(nil), merged...), p.selBuf)
-		got := append([]StateRecord{}, p.cache[to]...)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (to %d, cap %d):\ngot  %+v\nwant %+v", trial, to, capacity, got, want)
-		}
-		if p.version[to] != 1 {
-			t.Fatalf("trial %d: version %d, want 1", trial, p.version[to])
-		}
+// checkEvict runs evict on a copy of merged and compares the installed
+// cache with evictReference's.
+func checkEvict(t *testing.T, label string, to, capacity int, merged []StateRecord) {
+	t.Helper()
+	const nodes = 64
+	want := evictReference(to, capacity, append([]StateRecord(nil), merged...))
+	p := &Protocol{
+		cfg:     Config{CacheCapacity: capacity},
+		cache:   make([][]StateRecord, nodes),
+		version: make([]uint32, nodes),
+	}
+	p.evict(to, append([]StateRecord(nil), merged...))
+	got := append([]StateRecord{}, p.cache[to]...)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s (to %d, cap %d):\ngot  %+v\nwant %+v", label, to, capacity, got, want)
+	}
+	if p.version[to] != 1 {
+		t.Fatalf("%s: version %d, want 1", label, p.version[to])
 	}
 }

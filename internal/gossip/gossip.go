@@ -20,7 +20,6 @@ package gossip
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -128,7 +127,6 @@ type Protocol struct {
 	idle      []idleMemo    // per-node IdleKnown memo
 	sampleBuf []int         // reused by the cycle's neighbor draws
 	mergeBuf  []StateRecord // reused by push's sorted-merge
-	selBuf    []int32       // reused by evict's victim selection
 
 	// Aggregation state (push-pull averaging with epoch restarts).
 	estCap     []float64 // in-progress capacity estimate
@@ -176,7 +174,7 @@ func New(engine Clock, cfg Config, local LocalState) (*Protocol, error) {
 		cache:     make([][]StateRecord, cfg.N),
 		version:   make([]uint32, cfg.N),
 		idle:      make([]idleMemo, cfg.N),
-		sampleBuf: make([]int, 0, cfg.N),
+		sampleBuf: make([]int, 0, cfg.FanOut),
 		estCap:    make([]float64, cfg.N),
 		estBW:     make([]float64, cfg.N),
 		reportCap: make([]float64, cfg.N),
@@ -270,16 +268,15 @@ func (p *Protocol) cycle(now float64) {
 func (p *Protocol) push(from, to int, now float64) {
 	p.MessagesSent++
 	var bytes uint64
-	p.mergeBuf, p.selBuf, bytes = p.pushInto(from, to, now, p.mergeBuf, p.selBuf)
+	p.mergeBuf, bytes = p.pushInto(from, to, now, p.mergeBuf)
 	p.BytesSent += bytes
 }
 
-// pushInto is push's body over caller-owned scratch buffers (the merged
-// view and evict's victim-index selection), returning the (possibly grown)
-// buffers and the bytes sent. The parallel executor calls it with
-// per-worker buffers and accumulates the traffic counters itself; the
-// serial path wraps it in push.
-func (p *Protocol) pushInto(from, to int, now float64, buf []StateRecord, sel []int32) ([]StateRecord, []int32, uint64) {
+// pushInto is push's body over a caller-owned merge buffer, returning the
+// (possibly grown) buffer and the bytes sent. The parallel executor calls
+// it with per-worker buffers and accumulates the traffic counters itself;
+// the serial path wraps it in push.
+func (p *Protocol) pushInto(from, to int, now float64, buf []StateRecord) ([]StateRecord, uint64) {
 	src, dst := p.cache[from], p.cache[to]
 	expiry := p.expirySeconds()
 	out := buf[:0]
@@ -325,56 +322,64 @@ func (p *Protocol) pushInto(from, to int, now float64, buf []StateRecord, sel []
 			}
 		}
 	}
-	sel = p.evict(to, out, sel)
-	return out, sel, bytes
+	p.evict(to, out)
+	return out, bytes
 }
 
 // evict enforces the cache capacity bound on the merged view and installs
 // it as node to's cache, reusing the preallocated backing array. The
 // stalest records go first (ties to the lowest origin, which ascending
 // index order yields); the node's own record is always kept. Victims are
-// the k smallest eligible records by (timestamp, index) — selected with
-// one sort over the candidate indices instead of one full min-scan per
-// eviction — marked with a negative TTL sentinel (live records never go
-// below zero) and dropped in one compaction pass. sel is caller-owned
-// index scratch, returned possibly grown.
-func (p *Protocol) evict(to int, out []StateRecord, sel []int32) []int32 {
-	if over := len(out) - p.cfg.CacheCapacity; over > 0 {
-		sel = sel[:0]
+// the over smallest eligible records by (timestamp, index). Rather than
+// ordering the records, a counting pass per distinct timestamp, stalest
+// first, finds the cut: the timestamp at which the running count reaches
+// over. The compaction pass then drops every eligible record stamped
+// before the cut and the first records stamped at the cut, in index
+// order, until over are gone. The cost is O(len(out)) per distinct
+// timestamp up to the cut; records are minted only at cycle instants and
+// expire after ExpiryCycles, so a merged view holds a handful of distinct
+// timestamps.
+func (p *Protocol) evict(to int, out []StateRecord) {
+	// After the loop, cut is the last timestamp counted and take the number
+	// of records stamped at cut that are victims; below counts every
+	// eligible record stamped at or before cut (0: no victims).
+	var cut float64
+	take, below := 0, 0
+	for over := len(out) - p.cfg.CacheCapacity; below < over; {
+		next, count := 0.0, 0
 		for i := range out {
-			if out[i].Node != to {
-				sel = append(sel, int32(i))
+			ts := out[i].Timestamp
+			if out[i].Node == to || (below > 0 && ts <= cut) {
+				continue
+			}
+			switch {
+			case count == 0 || ts < next:
+				next, count = ts, 1
+			case ts == next:
+				count++
 			}
 		}
-		// The (timestamp, index) order reproduces the victim sequence of
-		// the repeated strict-< min-scan this replaces: equal timestamps
-		// fall to the lower index. Indices are distinct, so the comparator
-		// is total and sort stability is irrelevant.
-		slices.SortFunc(sel, func(a, b int32) int {
-			switch ta, tb := out[a].Timestamp, out[b].Timestamp; {
-			case ta < tb:
-				return -1
-			case ta > tb:
-				return 1
-			}
-			return int(a - b)
-		})
-		if over > len(sel) {
-			over = len(sel)
+		if count == 0 {
+			break // fewer eligible records than over: all go
 		}
-		for _, i := range sel[:over] {
-			out[i].TTL = -1
-		}
+		cut, take = next, min(count, over-below)
+		below += count
 	}
 	dst := p.cache[to][:0]
 	for i := range out {
-		if out[i].TTL >= 0 {
-			dst = append(dst, out[i])
+		if below > 0 && out[i].Node != to {
+			switch ts := out[i].Timestamp; {
+			case ts < cut:
+				continue
+			case ts == cut && take > 0:
+				take--
+				continue
+			}
 		}
+		dst = append(dst, out[i])
 	}
 	p.cache[to] = dst
 	p.version[to]++
-	return sel
 }
 
 // findOrigin locates origin in recs (sorted by Node). It returns the

@@ -82,28 +82,84 @@ func Shuffle[T any](rng *rand.Rand, xs []T) {
 // gossip fan-out neighbor selection. If fewer than k candidates exist, all of
 // them are returned.
 func SampleWithout(rng *rand.Rand, n, k, exclude int) []int {
-	return SampleWithoutInto(rng, n, k, exclude, make([]int, 0, n))
+	m, _ := candidates(n, exclude)
+	return SampleWithoutInto(rng, n, k, exclude, make([]int, 0, min(k, m)))
+}
+
+// candidates returns the size m of the candidate set [0, n) \ {exclude}
+// and the first value the exclusion shifts: candidate position p holds p
+// when p < shift and p+1 otherwise. An exclude outside [0, n) removes
+// nothing, which shift = n expresses.
+func candidates(n, exclude int) (m, shift int) {
+	if exclude >= 0 && exclude < n {
+		return n - 1, exclude
+	}
+	return max(0, n), n
 }
 
 // SampleWithoutInto is SampleWithout reusing buf's backing array, for
 // callers that sample every cycle (the gossip hot loop). The result aliases
-// buf and is only valid until the buffer's next use. It draws exactly the
-// same rng sequence as SampleWithout, so swapping between the two never
-// perturbs a seeded run.
+// buf and is only valid until the buffer's next use.
+//
+// It is a partial Fisher-Yates shuffle of the candidate list
+// [0, n) \ {exclude} in ascending order, run over that list virtually: a
+// position that no swap has touched holds its ascending value, and only
+// the positions a swap displaced are tracked, in a short list. It makes
+// the same rng.Intn(m-i) draw per output as a shuffle of the materialized
+// list and returns the same values, so the cost is O(k) draws plus an
+// O(k) scan of the displaced positions per draw, independent of n, and no
+// allocation while k stays within the inline list. When k >= m it returns
+// every candidate in ascending order without drawing.
 func SampleWithoutInto(rng *rand.Rand, n, k, exclude int, buf []int) []int {
-	candidates := buf[:0]
-	for i := 0; i < n; i++ {
-		if i != exclude {
-			candidates = append(candidates, i)
+	m, shift := candidates(n, exclude)
+	out := buf[:0]
+	if k >= m {
+		for p := 0; p < m; p++ {
+			out = append(out, shiftPast(p, shift))
+		}
+		return out
+	}
+	// moved lists the positions ahead of the draw cursor whose value a swap
+	// replaced. The inline array covers the gossip fan-outs (log2 n) with
+	// no allocation; a larger k grows the list on the heap.
+	var inline [32]displaced
+	moved := inline[:0]
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(m-i)
+		vi, _ := valueAt(moved, i, shift)
+		vj, at := valueAt(moved, j, shift)
+		out = append(out, vj)
+		if j == i {
+			continue
+		}
+		if at >= 0 {
+			moved[at].val = vi
+		} else {
+			moved = append(moved, displaced{pos: j, val: vi})
 		}
 	}
-	if k >= len(candidates) {
-		return candidates
+	return out
+}
+
+// displaced records that a swap left value val at candidate position pos.
+type displaced struct{ pos, val int }
+
+// valueAt returns the value at candidate position p and its index in
+// moved, or -1 when no swap has touched p.
+func valueAt(moved []displaced, p, shift int) (val, at int) {
+	for x := range moved {
+		if moved[x].pos == p {
+			return moved[x].val, x
+		}
 	}
-	// Partial Fisher-Yates: only the first k positions need to be drawn.
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(candidates)-i)
-		candidates[i], candidates[j] = candidates[j], candidates[i]
+	return shiftPast(p, shift), -1
+}
+
+// shiftPast maps candidate position p to its value: positions at or past
+// the excluded value skip over it.
+func shiftPast(p, shift int) int {
+	if p < shift {
+		return p
 	}
-	return candidates[:k]
+	return p + 1
 }
