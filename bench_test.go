@@ -8,8 +8,8 @@
 // the whole harness completes in minutes on a laptop; the CLI
 // (cmd/p2pgridsim -scale paper) reproduces the full 1000-node, 36-hour
 // setting. The qualitative relationships - who wins, in which order, where
-// the crossovers fall - hold at every scale; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// the crossovers fall - hold at every scale; `p2pgridsim -experiment
+// report` regenerates the paper-vs-measured comparison.
 package repro_test
 
 import (
@@ -246,8 +246,8 @@ func BenchmarkPlannerShootout(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnModelAblation measures the graceful-vs-harsh loss model
-// gap DESIGN.md documents.
+// BenchmarkChurnModelAblation measures the gap between the graceful and
+// the harsh churn loss model (grid.Config.HarshChurn).
 func BenchmarkChurnModelAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		table, err := experiments.ChurnModelAblation(benchScale, benchSeed, 0.2)

@@ -1,18 +1,20 @@
 // Command docscheck is the documentation gate run by the CI docs job. It
-// enforces two contracts the compiler cannot:
+// enforces three contracts the compiler cannot:
 //
 //   - every internal and cmd package has a package-level doc comment (a
-//     real one — at least a sentence, not a bare "Package x."), and
+//     real one — at least a sentence, not a bare "Package x."),
 //   - every relative markdown link in the repository's documentation
 //     resolves: linked files exist, and #fragment links point at a
-//     heading whose GitHub-style anchor slug matches.
+//     heading whose GitHub-style anchor slug matches, and
+//   - every markdown file a Go comment names (say docs/workloads.md)
+//     exists, relative to the repository root or to the commenting file.
 //
 // External (http/https) links are deliberately not fetched: CI must stay
 // hermetic, and a flaky remote host must not fail the build.
 //
 // Usage:
 //
-//	docscheck [-root DIR] [FILE.md ...]
+//	docscheck [-root DIR] [MARKDOWN ...]
 //
 // With no file arguments it checks README.md, ROADMAP.md and every
 // .md file under docs/. Exit status 1 lists every violation on stderr.
@@ -58,6 +60,12 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	problems = append(problems, pkgProblems...)
+	refProblems, err := checkCommentRefs(*root)
+	if err != nil {
+		fmt.Fprintln(stderr, "docscheck:", err)
+		return 2
+	}
+	problems = append(problems, refProblems...)
 	for _, f := range files {
 		linkProblems, err := checkMarkdownLinks(*root, f)
 		if err != nil {
@@ -162,6 +170,62 @@ func packageDoc(dir string) (doc string, hasGo bool, err error) {
 		}
 	}
 	return b.String(), hasGo, nil
+}
+
+// mdRefRe matches a markdown file path cited in prose: a run of path
+// characters ending in ".md".
+var mdRefRe = regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b`)
+
+// checkCommentRefs parses every Go file under root (hidden directories and
+// testdata skipped) and reports each markdown path named in a comment that
+// exists neither relative to root nor relative to the file's directory.
+// URLs are not checked.
+func checkCommentRefs(root string) ([]string, error) {
+	var problems []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				line := fset.Position(c.Pos()).Line
+				for i, text := range strings.Split(c.Text, "\n") {
+					for _, field := range strings.Fields(text) {
+						if strings.Contains(field, "://") {
+							continue // external: not fetched, CI stays hermetic
+						}
+						for _, ref := range mdRefRe.FindAllString(field, -1) {
+							if !exists(filepath.Join(root, ref)) && !exists(filepath.Join(filepath.Dir(path), ref)) {
+								problems = append(problems, fmt.Sprintf("%s:%d: comment cites %s, which does not exist", rel, line+i, ref))
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return problems, err
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // linkRe matches inline markdown links [text](target); images and

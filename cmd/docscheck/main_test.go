@@ -91,6 +91,44 @@ func TestBrokenLinksFail(t *testing.T) {
 	}
 }
 
+func TestCommentRefsResolve(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "README.md", "# T\n")
+	write(t, dir, "docs/guide.md", "# Guide\n")
+	write(t, dir, "internal/foo/NOTES.md", "# Notes\n")
+	write(t, dir, "internal/foo/foo.go", strings.Join([]string{
+		"// Package foo cites docs/guide.md, README.md and NOTES.md, all present.",
+		"package foo",
+		"",
+		"// Bar follows DESIGN.md, which is gone.",
+		"func Bar() {}",
+		"",
+		"/* A block comment:",
+		"   see docs/missing.md. */",
+		"func Baz() {}",
+		"",
+		"// https://example.com/spec.md is external and not checked; neither is",
+		"// a glob like *.md or a bare .md suffix.",
+		"var x = \"strings such as GONE.md are not comments\"",
+	}, "\n"))
+	write(t, dir, ".hidden/skip.go", "// Package skip cites HIDDEN.md.\npackage skip\n")
+	write(t, dir, "internal/foo/testdata/skip.go", "// Package skip sits in testdata and cites TESTDATA.md.\npackage skip\n")
+
+	code, _, stderr := runCheck(t, "-root", dir, "README.md")
+	if code != 1 {
+		t.Fatalf("want exit 1, got %d (stderr %q)", code, stderr)
+	}
+	for _, frag := range []string{
+		"internal/foo/foo.go:4: comment cites DESIGN.md",
+		"internal/foo/foo.go:8: comment cites docs/missing.md",
+		"2 problem(s)",
+	} {
+		if !strings.Contains(stderr, frag) {
+			t.Fatalf("stderr missing %q:\n%s", frag, stderr)
+		}
+	}
+}
+
 func TestSlugify(t *testing.T) {
 	cases := map[string]string{
 		"Section two":                      "section-two",

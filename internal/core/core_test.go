@@ -387,3 +387,28 @@ func TestDSMFOrderIsSortedPermutation(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMatrixPhase1 times min-min's first scheduling round on a 30-node
+// grid at load factor 16: every home node places the entry tasks of its 16
+// workflows over the candidates gossip has shown it by then.
+func BenchmarkMatrixPhase1(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := &core.MatrixPhase1{Label: "min-min", Pick: core.PickMinMin}
+		engine := sim.NewEngine()
+		g, err := grid.New(engine, grid.Config{Nodes: 30, Seed: 1},
+			grid.Algorithm{Label: "min-min", Phase1: s, Phase2: core.FCFS{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		submitWorkload(b, g, 16, 1)
+		g.Start()
+		engine.RunUntil(g.Cfg.SchedulingInterval - 1)
+		now := engine.Now()
+		b.StartTimer()
+		for j := range g.Nodes {
+			s.Schedule(g, &g.Nodes[j], now)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/grid"
 )
@@ -30,7 +31,12 @@ func (r MatrixRow) Sufferage() float64 {
 // phase (Maheswaran et al., adapted to workflows as in Section IV.A):
 // build the FT matrix over (schedule point x candidate), repeatedly pick
 // one row by the family rule, place the task on its best node, update that
-// node's load, and recompute - the classic O(T^2 x C) loop.
+// node's load, and re-derive the rows.
+//
+// A placement changes only the chosen candidate's load, so the matrix is
+// filled once and afterwards only that candidate's column is recomputed:
+// O(T x C + T^2) FinishTime calls per round instead of the O(T^2 x C) of a
+// full recompute, with the same picks in the same order.
 type MatrixPhase1 struct {
 	Label string
 	// Pick returns the index of the chosen row.
@@ -38,6 +44,7 @@ type MatrixPhase1 struct {
 
 	candBuf []Candidate // per-instance scratch; one engine thread per run
 	rowBuf  []MatrixRow
+	ftBuf   []float64 // FT matrix: row i's C finish times at [i*C, (i+1)*C)
 }
 
 // Name implements grid.Phase1Scheduler.
@@ -54,25 +61,52 @@ func (s *MatrixPhase1) Schedule(g *grid.Grid, home *grid.Node, now float64) {
 	if len(cands) == 0 {
 		return
 	}
-	pending := Flatten(views)
-	for len(pending) > 0 {
+	rows, ft := s.rowBuf[:0], s.ftBuf[:0]
+	defer func() { s.rowBuf, s.ftBuf = rows, ft }()
+	for _, rt := range Flatten(views) {
+		rows = append(rows, MatrixRow{Task: rt.Task, RPM: rt.RPM, Makespan: rt.Makespan})
+	}
+	refill, col := true, -1 // what changed since the rows were derived
+	for {
+		c := len(cands)
 		// A failed dispatch may revert a shared precedent and demote other
 		// pending tasks back to blocked; drop them from this pass.
-		alive := pending[:0]
-		for _, rt := range pending {
-			if rt.Task.State == grid.TaskSchedulePoint {
-				alive = append(alive, rt)
+		kept := 0
+		for i := range rows {
+			if rows[i].Task.State != grid.TaskSchedulePoint {
+				continue
 			}
+			if kept != i {
+				rows[kept] = rows[i]
+				if !refill {
+					copy(ft[kept*c:(kept+1)*c], ft[i*c:(i+1)*c])
+				}
+			}
+			kept++
 		}
-		pending = alive
-		if len(pending) == 0 {
+		rows = rows[:kept]
+		if len(rows) == 0 {
 			return
 		}
-		rows := s.rowBuf[:0]
-		for _, rt := range pending {
-			rows = append(rows, computeRow(g, rt, cands))
+		if refill {
+			ft = slices.Grow(ft[:0], len(rows)*c)[:len(rows)*c]
+		} else {
+			ft = ft[:len(rows)*c]
 		}
-		s.rowBuf = rows
+		for i := range rows {
+			fts := ft[i*c : (i+1)*c]
+			switch {
+			case refill:
+				for j := range cands {
+					fts[j] = FinishTime(g, rows[i].Task, cands[j])
+				}
+			case col >= 0:
+				fts[col] = FinishTime(g, rows[i].Task, cands[col])
+			}
+			rows[i].derive(fts)
+		}
+		refill, col = false, -1
+
 		pick := s.Pick(rows)
 		if pick < 0 || pick >= len(rows) {
 			return
@@ -89,29 +123,30 @@ func (s *MatrixPhase1) Schedule(g *grid.Grid, home *grid.Node, now float64) {
 			if len(cands) == 0 {
 				return
 			}
+			refill = true
 			continue
 		}
-		pending = append(pending[:pick], pending[pick+1:]...)
+		rows = append(rows[:pick], rows[pick+1:]...)
+		ft = append(ft[:pick*c], ft[(pick+1)*c:]...)
+		col = row.BestIdx
 	}
 }
 
-func computeRow(g *grid.Grid, rt RankedTask, cands []Candidate) MatrixRow {
-	row := MatrixRow{
-		Task: rt.Task, RPM: rt.RPM, Makespan: rt.Makespan,
-		BestIdx: -1, BestFT: math.Inf(1), SecondFT: math.Inf(1),
-	}
-	for i := range cands {
-		ft := FinishTime(g, rt.Task, cands[i])
+// derive sets the row's best candidate, best FT and second-best FT from
+// its finish times, scanned in candidate order: the first strict minimum
+// wins, so ties go to the lower candidate index.
+func (r *MatrixRow) derive(fts []float64) {
+	r.BestIdx, r.BestFT, r.SecondFT = -1, math.Inf(1), math.Inf(1)
+	for i, ft := range fts {
 		switch {
-		case ft < row.BestFT:
-			row.SecondFT = row.BestFT
-			row.BestFT = ft
-			row.BestIdx = i
-		case ft < row.SecondFT:
-			row.SecondFT = ft
+		case ft < r.BestFT:
+			r.SecondFT = r.BestFT
+			r.BestFT = ft
+			r.BestIdx = i
+		case ft < r.SecondFT:
+			r.SecondFT = ft
 		}
 	}
-	return row
 }
 
 // PickMinMin selects the row whose best FT is smallest (ties: first row).

@@ -3,6 +3,7 @@ package dag
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/stats"
 )
@@ -34,22 +35,26 @@ func DefaultGenConfig() GenConfig {
 
 // Generate builds a random workflow. The construction orders tasks 0..n-1,
 // draws each non-final task's fan-out in [FanOut.Min, FanOut.Max] and wires
-// it to that many distinct later tasks, guaranteeing acyclicity by rank and
-// at least one successor per non-final task. Tasks left without precedents
-// form multiple entries which Build() normalizes with a virtual entry, as
-// the paper prescribes. The expected structure spans chains (n=2) to bushy
-// fan-out-5 graphs (n=30).
+// it to that many distinct later tasks, drawn uniformly, guaranteeing
+// acyclicity by rank and at least one successor per non-final task. Tasks
+// left without precedents form multiple entries which Build() normalizes
+// with a virtual entry, as the paper prescribes. The expected structure
+// spans chains (n=2) to bushy fan-out-5 graphs (n=30).
 func Generate(name string, cfg GenConfig, rng *rand.Rand) (*Workflow, error) {
 	n := stats.SampleInt(rng, int(cfg.Tasks.Min), int(cfg.Tasks.Max))
 	if n < 1 {
 		return nil, fmt.Errorf("dag: generator needs at least 1 task, got %d", n)
 	}
 	b := NewBuilder(name)
+	// At most FanOut.Max successors per non-final task, and never more
+	// than the n(n-1)/2 forward pairs.
+	fanMax := min(max(int(cfg.FanOut.Max), 1), n-1)
+	b.Grow(n, min((n-1)*fanMax, n*(n-1)/2))
+	prefix := name + "/t"
 	for i := 0; i < n; i++ {
-		b.AddTask(fmt.Sprintf("%s/t%d", name, i),
-			cfg.LoadMI.Sample(rng), cfg.ImageMb.Sample(rng))
+		b.AddTask(prefix+strconv.Itoa(i), cfg.LoadMI.Sample(rng), cfg.ImageMb.Sample(rng))
 	}
-	hasPred := make([]bool, n)
+	chosen := make([]int, 0, fanMax)
 	for i := 0; i < n-1; i++ {
 		remaining := n - 1 - i // tasks strictly after i
 		fan := stats.SampleInt(rng, int(cfg.FanOut.Min), int(cfg.FanOut.Max))
@@ -59,18 +64,11 @@ func Generate(name string, cfg GenConfig, rng *rand.Rand) (*Workflow, error) {
 		if fan > remaining {
 			fan = remaining
 		}
-		// Choose fan distinct successors among later tasks; bias the first
-		// successor toward i+1 so long chains stay plausible.
-		chosen := stats.SampleWithout(rng, remaining, fan, -1)
+		chosen = stats.SampleWithoutInto(rng, remaining, fan, -1, chosen)
 		for _, off := range chosen {
-			to := i + 1 + off
-			b.AddEdge(TaskID(i), TaskID(to), cfg.DataMb.Sample(rng))
-			hasPred[to] = true
+			b.AddEdge(TaskID(i), TaskID(i+1+off), cfg.DataMb.Sample(rng))
 		}
 	}
-	// Any task (beyond 0) that ended up with no precedent stays a secondary
-	// entry; normalization will bind it to the virtual entry. Nothing to do.
-	_ = hasPred
 	return b.Build()
 }
 

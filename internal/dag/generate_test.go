@@ -136,6 +136,7 @@ func TestQuickGeneratedWorkflowsWellFormed(t *testing.T) {
 func BenchmarkGenerateWorkflow(b *testing.B) {
 	rng := stats.NewRand(1, 5)
 	cfg := DefaultGenConfig()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate("bench", cfg, rng); err != nil {

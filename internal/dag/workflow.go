@@ -11,6 +11,7 @@ package dag
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // TaskID indexes a task inside one workflow.
@@ -99,6 +100,7 @@ func (w *Workflow) ScaleLoads(factor float64) (*Workflow, error) {
 		return nil, fmt.Errorf("dag: load scale factor %v out of range", factor)
 	}
 	b := NewBuilder(w.Name)
+	b.Grow(len(w.tasks), w.Edges())
 	for _, t := range w.tasks {
 		if t.Virtual {
 			continue
@@ -126,6 +128,13 @@ type Builder struct {
 // NewBuilder starts a workflow definition.
 func NewBuilder(name string) *Builder { return &Builder{name: name} }
 
+// Grow reserves room for tasks more tasks and edges more edges, so a caller
+// that knows the workflow's size builds it without regrowing.
+func (b *Builder) Grow(tasks, edges int) {
+	b.tasks = slices.Grow(b.tasks, tasks)
+	b.edges = slices.Grow(b.edges, edges)
+}
+
 // AddTask appends a task and returns its id. Negative loads are rejected at
 // Build time.
 func (b *Builder) AddTask(name string, loadMI, imageMb float64) TaskID {
@@ -139,7 +148,15 @@ func (b *Builder) AddEdge(from, to TaskID, dataMb float64) {
 	b.edges = append(b.edges, Edge{From: from, To: to, DataMb: dataMb})
 }
 
-// Build validates the graph and returns the normalized workflow.
+// Build validates the graph and returns the normalized workflow. Faults
+// are reported first-found: tasks in order, then edges in order (range,
+// self-loop, data size, duplicate of an earlier edge), then a missing
+// entry or exit, then a cycle.
+//
+// Every adjacency list is carved, at exact capacity, from one backing
+// array sized after a degree count that also reserves the slots of the
+// virtual entry and exit edges, so a workflow costs a fixed number of
+// allocations whatever its size.
 func (b *Builder) Build() (*Workflow, error) {
 	n := len(b.tasks)
 	if n == 0 {
@@ -153,35 +170,93 @@ func (b *Builder) Build() (*Workflow, error) {
 			return nil, fmt.Errorf("dag: task %q has negative image size %v", t.Name, t.ImageMb)
 		}
 	}
-	w := &Workflow{
-		Name:  b.name,
-		tasks: append([]Task(nil), b.tasks...),
-		succ:  make([][]Edge, n),
-		pred:  make([][]Edge, n),
+	// deg holds out-degrees in [0,n) and in-degrees in [n,2n); its first
+	// n+2 ints are reused as duplicate marks and as Kahn in-degrees.
+	deg := make([]int, 2*n+2)
+	out, in := deg[:n], deg[n:2*n]
+	edges, edgeErr := b.edges, error(nil)
+	for k, e := range b.edges {
+		if edgeErr = b.checkEdge(e, n); edgeErr != nil {
+			edges = b.edges[:k]
+			break
+		}
+		out[e.From]++
+		in[e.To]++
 	}
-	seen := make(map[[2]TaskID]bool, len(b.edges))
-	for _, e := range b.edges {
-		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
-			return nil, fmt.Errorf("dag: edge %d->%d out of range in %q", e.From, e.To, b.name)
+	entries, exits := 0, 0
+	for i := 0; i < n; i++ {
+		if in[i] == 0 {
+			entries++
 		}
-		if e.From == e.To {
-			return nil, fmt.Errorf("dag: self-loop on task %d in %q", e.From, b.name)
+		if out[i] == 0 {
+			exits++
 		}
-		if e.DataMb < 0 {
-			return nil, fmt.Errorf("dag: negative data size on edge %d->%d", e.From, e.To)
+	}
+	virtEntry, virtExit := entries > 1, exits > 1
+	m := n
+	if virtEntry {
+		m++
+	}
+	if virtExit {
+		m++
+	}
+
+	w := &Workflow{Name: b.name, tasks: make([]Task, n, m)}
+	copy(w.tasks, b.tasks)
+	slots := len(edges)
+	if virtEntry {
+		slots += entries
+	}
+	if virtExit {
+		slots += exits
+	}
+	heads := make([][]Edge, 2*m)
+	w.succ, w.pred = heads[:m:m], heads[m:]
+	back := make([]Edge, 2*slots)
+	carve := func(size int) []Edge {
+		s := back[:0:size]
+		back = back[size:]
+		return s
+	}
+	for i := 0; i < n; i++ {
+		size := out[i]
+		if virtExit && size == 0 {
+			size = 1
 		}
-		key := [2]TaskID{e.From, e.To}
-		if seen[key] {
-			return nil, fmt.Errorf("dag: duplicate edge %d->%d in %q", e.From, e.To, b.name)
+		w.succ[i] = carve(size)
+		if size = in[i]; virtEntry && size == 0 {
+			size = 1
 		}
-		seen[key] = true
+		w.pred[i] = carve(size)
+	}
+	for _, e := range edges {
 		w.succ[e.From] = append(w.succ[e.From], e)
 		w.pred[e.To] = append(w.pred[e.To], e)
 	}
-	if err := w.normalize(); err != nil {
-		return nil, err
+	// A duplicate within the valid prefix comes before the faulty edge.
+	clear(out)
+	if k := firstDuplicate(edges, w.succ[:n], out); k >= 0 {
+		e := edges[k]
+		return nil, fmt.Errorf("dag: duplicate edge %d->%d in %q", e.From, e.To, b.name)
 	}
-	topo, err := w.topoSort()
+	if edgeErr != nil {
+		return nil, edgeErr
+	}
+	if entries == 0 {
+		return nil, fmt.Errorf("dag: workflow %q has no entry task (cycle)", w.Name)
+	}
+	if exits == 0 {
+		return nil, fmt.Errorf("dag: workflow %q has no exit task (cycle)", w.Name)
+	}
+	var entrySucc, exitPred []Edge
+	if virtEntry {
+		entrySucc = carve(entries)
+	}
+	if virtExit {
+		exitPred = carve(exits)
+	}
+	w.normalize(virtEntry, virtExit, entrySucc, exitPred)
+	topo, err := w.topoSort(deg[:m])
 	if err != nil {
 		return nil, err
 	}
@@ -189,82 +264,121 @@ func (b *Builder) Build() (*Workflow, error) {
 	return w, nil
 }
 
+// checkEdge reports the first fault of one edge of a workflow of n tasks.
+func (b *Builder) checkEdge(e Edge, n int) error {
+	if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+		return fmt.Errorf("dag: edge %d->%d out of range in %q", e.From, e.To, b.name)
+	}
+	if e.From == e.To {
+		return fmt.Errorf("dag: self-loop on task %d in %q", e.From, b.name)
+	}
+	if e.DataMb < 0 {
+		return fmt.Errorf("dag: negative data size on edge %d->%d", e.From, e.To)
+	}
+	return nil
+}
+
+// firstDuplicate returns the index in edges of the first edge that repeats
+// an earlier edge's (From, To) pair, or -1. succ holds the same edges
+// bucketed by From in declaration order and mark is zeroed scratch with
+// one int per task. It runs in O(E + n) without a map: mark[v] = u+1
+// flags v as already seen in bucket u, and only when some bucket repeats
+// does a second pass map each bucket's first repeat back to its index.
+func firstDuplicate(edges []Edge, succ [][]Edge, mark []int) int {
+	var repeat []int // repeat[u]: 1 + position of bucket u's first repeat, 0 if none
+	for u, es := range succ {
+		for j, e := range es {
+			if mark[e.To] == u+1 {
+				if repeat == nil {
+					repeat = make([]int, len(succ))
+				}
+				repeat[u] = j + 1
+				break
+			}
+			mark[e.To] = u + 1
+		}
+	}
+	if repeat == nil {
+		return -1
+	}
+	for k, e := range edges {
+		switch repeat[e.From] {
+		case 0:
+		case 1:
+			return k
+		default:
+			repeat[e.From]--
+		}
+	}
+	return -1
+}
+
 // normalize guarantees a unique entry and exit by adding zero-cost virtual
 // tasks when several exist ("another newly added zero-cost task which
 // connects all the original entry tasks can serve as the unique entry").
-func (w *Workflow) normalize() error {
-	var entries, exits []TaskID
-	for _, t := range w.tasks {
-		if len(w.pred[t.ID]) == 0 {
-			entries = append(entries, t.ID)
+// The caller has established that at least one entry and one exit exist
+// and passes the empty, exactly sized lists of the virtual tasks' edges;
+// the real tasks' lists already have a free slot for their virtual edge.
+func (w *Workflow) normalize(virtEntry, virtExit bool, entrySucc, exitPred []Edge) {
+	n := len(w.tasks)
+	if virtEntry {
+		w.entry = w.addVirtual("entry*")
+	}
+	if virtExit {
+		w.exit = w.addVirtual("exit*")
+	}
+	for i := 0; i < n; i++ {
+		id := TaskID(i)
+		if len(w.pred[i]) == 0 {
+			if !virtEntry {
+				w.entry = id
+			} else {
+				edge := Edge{From: w.entry, To: id}
+				entrySucc = append(entrySucc, edge)
+				w.pred[i] = append(w.pred[i], edge)
+			}
 		}
-		if len(w.succ[t.ID]) == 0 {
-			exits = append(exits, t.ID)
+		if len(w.succ[i]) == 0 {
+			if !virtExit {
+				w.exit = id
+			} else {
+				edge := Edge{From: id, To: w.exit}
+				w.succ[i] = append(w.succ[i], edge)
+				exitPred = append(exitPred, edge)
+			}
 		}
 	}
-	if len(entries) == 0 {
-		return fmt.Errorf("dag: workflow %q has no entry task (cycle)", w.Name)
+	if virtEntry {
+		w.succ[w.entry] = entrySucc
 	}
-	if len(exits) == 0 {
-		return fmt.Errorf("dag: workflow %q has no exit task (cycle)", w.Name)
+	if virtExit {
+		w.pred[w.exit] = exitPred
 	}
-	if len(entries) == 1 {
-		w.entry = entries[0]
-	} else {
-		id := w.addVirtual("entry*")
-		for _, e := range entries {
-			edge := Edge{From: id, To: e, DataMb: 0}
-			w.succ[id] = append(w.succ[id], edge)
-			w.pred[e] = append(w.pred[e], edge)
-		}
-		w.entry = id
-	}
-	if len(exits) == 1 {
-		w.exit = exits[0]
-	} else {
-		id := w.addVirtual("exit*")
-		for _, e := range exits {
-			edge := Edge{From: e, To: id, DataMb: 0}
-			w.succ[e] = append(w.succ[e], edge)
-			w.pred[id] = append(w.pred[id], edge)
-		}
-		w.exit = id
-	}
-	return nil
 }
 
 func (w *Workflow) addVirtual(name string) TaskID {
 	id := TaskID(len(w.tasks))
 	w.tasks = append(w.tasks, Task{ID: id, Name: name, Virtual: true})
-	w.succ = append(w.succ, nil)
-	w.pred = append(w.pred, nil)
 	return id
 }
 
 // topoSort returns a Kahn topological order or an error naming a cycle.
-func (w *Workflow) topoSort() ([]TaskID, error) {
+// indeg is scratch with one int per task. The order slice doubles as the
+// FIFO queue: every task is appended once when its in-degree reaches zero
+// and consumed in append order.
+func (w *Workflow) topoSort(indeg []int) ([]TaskID, error) {
 	n := len(w.tasks)
-	indeg := make([]int, n)
-	for _, es := range w.succ {
-		for _, e := range es {
-			indeg[e.To]++
-		}
-	}
-	queue := make([]TaskID, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, TaskID(i))
-		}
-	}
 	order := make([]TaskID, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, e := range w.succ[u] {
+	for i := 0; i < n; i++ {
+		if indeg[i] = len(w.pred[i]); indeg[i] == 0 {
+			order = append(order, TaskID(i))
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, e := range w.succ[order[head]] {
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
+				order = append(order, e.To)
 			}
 		}
 	}

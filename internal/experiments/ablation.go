@@ -9,9 +9,8 @@ import (
 
 // OracleAblation quantifies the cost of decentralized information: DSMF
 // driven by the gossip view versus DSMF with oracle bandwidth and averages.
-// This is a reproduction extension (Section 6 of DESIGN.md), not a paper
-// figure - it measures how much the mixed gossip protocol gives up against
-// perfect knowledge.
+// This is a reproduction extension, not a paper figure - it measures how
+// much the mixed gossip protocol gives up against perfect knowledge.
 func OracleAblation(scale Scale, seed int64) (Table, error) {
 	base := NewSetting(scale, seed)
 	if _, err := base.BuildNet(); err != nil {

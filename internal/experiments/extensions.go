@@ -12,8 +12,8 @@ import (
 // PlannerShootout compares the full-ahead planner family on one workload:
 // HEFT (non-insertion, the paper's baseline), insertion-based HEFT, the
 // one-level-lookahead LAHEFT the paper's related work credits with up to
-// 20% improvement, CPOP, and SMF. A reproduction extension covering the
-// design choices DESIGN.md calls out.
+// 20% improvement, CPOP, and SMF. A reproduction extension, not a paper
+// figure.
 func PlannerShootout(scale Scale, seed int64) (Table, error) {
 	setting := NewSetting(scale, seed)
 	if _, err := setting.BuildNet(); err != nil {
@@ -35,7 +35,7 @@ func PlannerShootout(scale Scale, seed int64) (Table, error) {
 
 // ChurnModelAblation contrasts the default graceful churn-loss model with
 // the maximal-loss HarshChurn variant at one dynamic factor, quantifying
-// how much the unspecified paper loss model matters (DESIGN.md).
+// how much the unspecified paper loss model matters.
 func ChurnModelAblation(scale Scale, seed int64, df float64) (Table, error) {
 	stable := scale.Nodes / 2
 	mk := func(harsh bool) Setting {

@@ -7,8 +7,8 @@ import (
 )
 
 // Report assembles a markdown snapshot of the core reproduction claims
-// from live runs at the given scale - a regenerable, reduced form of
-// EXPERIMENTS.md. It runs the static comparison plus the headline shape
+// from live runs at the given scale - a regenerable, reduced form of the
+// paper-vs-measured comparison. It runs the static comparison plus the headline shape
 // checks and renders pass/fail marks, so a reader can verify the
 // reproduction on their own machine with one command.
 func Report(scale Scale, seed int64) (string, error) {

@@ -131,7 +131,7 @@ type Config struct {
 	// workflow's home, and only the task RUNNING at departure is lost
 	// ("the degraded throughput is mainly induced by the large-load tasks
 	// which cannot be finished quickly"). The paper does not specify its
-	// loss model; DESIGN.md discusses the calibration.
+	// loss model; the churn-model ablation measures how much it matters.
 	HarshChurn bool
 }
 

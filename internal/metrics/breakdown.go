@@ -12,7 +12,7 @@ import (
 // workflows of a run: per-task scheduling wait (activation to dispatch),
 // transfer wait (dispatch to data-complete), queueing (ready to CPU) and
 // execution, plus node utilization. It quantifies the dual-phase model's
-// costs - e.g. the just-in-time cycle latency DESIGN.md discusses.
+// costs - e.g. the latency of the just-in-time scheduling cycle.
 type Breakdown struct {
 	SchedulingWait stats.Summary // task activation -> dispatch
 	TransferWait   stats.Summary // dispatch -> all inputs arrived
