@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// evictReference is the per-victim min-scan evict that the counting-pass
-// victim selection replaced: repeatedly mark the stalest eligible record
+// evictReference is the per-victim min-scan eviction that the
+// counting-pass victim selection, and then truncation of the
+// eviction-ordered caches, replaced: repeatedly mark the stalest eligible record
 // (strict <, so ties fall to the lowest index), then compact. The
 // equivalence test pins the rewrite to this exact victim choice — the
 // cache contents feed RPM pricing, so a different (even equally stale)
@@ -39,8 +40,8 @@ func evictReference(to, capacity int, out []StateRecord) []StateRecord {
 	return dst
 }
 
-// TestEvictMatchesReference pins evict to the reference's victim choice
-// over random merged views. The timestamp shapes cover the protocol's
+// TestEvictMatchesReference pins the push's capacity eviction to the
+// reference's victim choice over random merged views. The timestamp shapes cover the protocol's
 // coarse cycle instants (few distinct values, plenty of ties), fine-grained
 // stamps (many more distinct values than a live view holds), and all
 // stamps equal; the owner rule covers views where only the owner's record
@@ -83,20 +84,35 @@ func TestEvictMatchesReference(t *testing.T) {
 	checkEvict(t, "owner and one", 3, 0, []StateRecord{{Node: 1, Timestamp: 600, TTL: 2}, own})
 }
 
-// checkEvict runs evict on a copy of merged and compares the installed
-// cache with evictReference's.
+// checkEvict delivers merged, as a message, to an empty receiver - so
+// that eviction alone decides what the receiver keeps - and compares the
+// receiver's records with evictReference's, as it does the counting-pass
+// eviction of the origin-sorted reference kernel. The sender (an odd id
+// other than to, never among the even merged origins) holds every record with one more
+// hop, all fresh, so the message carries the view unchanged.
 func checkEvict(t *testing.T, label string, to, capacity int, merged []StateRecord) {
 	t.Helper()
 	const nodes = 64
-	want := evictReference(to, capacity, append([]StateRecord(nil), merged...))
-	p := &Protocol{
-		cfg:     Config{CacheCapacity: capacity},
-		cache:   make([][]StateRecord, nodes),
-		version: make([]uint32, nodes),
+	from := 63
+	if to == from {
+		from = 61
 	}
-	p.evict(to, append([]StateRecord(nil), merged...))
-	got := append([]StateRecord{}, p.cache[to]...)
-	if !reflect.DeepEqual(got, want) {
+	want := evictReference(to, capacity, append([]StateRecord(nil), merged...))
+	if got := evictCounting(to, capacity, merged, nil); !reflect.DeepEqual(append([]StateRecord{}, got...), want) {
+		t.Fatalf("%s (to %d, cap %d): counting pass\ngot  %+v\nwant %+v", label, to, capacity, got, want)
+	}
+	p := bareProtocol(nodes, capacity, 1000)
+	p.cfg.ExpiryCycles = 1e6
+	sent := make([]StateRecord, len(merged))
+	for i, rec := range merged {
+		rec.TTL++
+		sent[i] = rec
+	}
+	install(p, from, sent)
+	p.compose(p.send, from, 1000)
+	p.deliver(p.send, to, 1000)
+	checkLayout(t, p, to)
+	if got := canonical(p, to); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s (to %d, cap %d):\ngot  %+v\nwant %+v", label, to, capacity, got, want)
 	}
 	if p.version[to] != 1 {

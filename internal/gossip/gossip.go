@@ -10,16 +10,20 @@
 // resource set RSS is a freshness-bounded cache whose capacity is
 // O(log2(n)), reproducing Fig. 11(a)'s bounded "acquaintance" count.
 //
-// The per-node cache is a slice sorted by origin id, not a map: the RSS
-// bound keeps it at O(log n) entries, so ordered insertion and in-place
-// compaction beat map churn by a wide margin in the simulator's hottest
-// loop (push/merge/trim run fan-out times per node per cycle), and the
-// sorted order makes RSS() allocation-free for callers that bring a buffer.
+// Each node's cache is a slice kept in eviction order - freshest first
+// (timestamp descending, then origin descending) - plus the node's own
+// record held apart. The capacity bound drops the stalest records, so in
+// this order eviction is truncation: a push merges two already-ordered
+// lists and stops once the cache is full, never writing a record it would
+// then delete, and expired records sit at the tail where it never reads.
+// The RSS bound keeps every list at O(log n) records, so ordered slices
+// beat maps by a wide margin in the simulator's hottest loop.
 package gossip
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -118,15 +122,19 @@ type Protocol struct {
 	local  LocalState
 	rng    *rand.Rand
 
-	// cache[i] is node i's RSS: at most one record per origin, sorted by
-	// ascending origin id. All n slices share one preallocated backing
-	// array; push-time overshoot happens in mergeBuf, so the slices never
-	// outgrow their stride.
+	// cache[i] holds node i's records about OTHER origins, at most one per
+	// origin, in eviction order: timestamp descending, then origin
+	// descending. own[i] is node i's record about itself when hasOwn[i];
+	// it is never evicted but takes one of the CacheCapacity slots. All n
+	// slices, and the spare slot each sender writes a push into, have
+	// capacity CacheCapacity, so a push never allocates.
 	cache     [][]StateRecord
-	version   []uint32      // bumped on every cache[i] mutation
-	idle      []idleMemo    // per-node IdleKnown memo
-	sampleBuf []int         // reused by the cycle's neighbor draws
-	mergeBuf  []StateRecord // reused by push's sorted-merge
+	own       []StateRecord
+	hasOwn    []bool
+	version   []uint32   // bumped on every mutation of node i's records
+	idle      []idleMemo // per-node IdleKnown memo
+	sampleBuf []int      // reused by the cycle's neighbor draws
+	send      *sender    // the serial cycle's outgoing-message scratch
 
 	// Aggregation state (push-pull averaging with epoch restarts).
 	estCap     []float64 // in-progress capacity estimate
@@ -171,30 +179,36 @@ func New(engine Clock, cfg Config, local LocalState) (*Protocol, error) {
 		engine:    engine,
 		local:     local,
 		rng:       stats.NewRand(cfg.Seed, 0xC3),
-		cache:     make([][]StateRecord, cfg.N),
-		version:   make([]uint32, cfg.N),
-		idle:      make([]idleMemo, cfg.N),
 		sampleBuf: make([]int, 0, cfg.FanOut),
 		estCap:    make([]float64, cfg.N),
 		estBW:     make([]float64, cfg.N),
 		reportCap: make([]float64, cfg.N),
 		reportBW:  make([]float64, cfg.N),
 	}
-	// A cache holds at most CacheCapacity records after eviction, plus one
-	// own-record insert between pushes; transient push overshoot lives in
-	// mergeBuf, never in the per-node slices.
-	stride := cfg.CacheCapacity + 1
-	backing := make([]StateRecord, cfg.N*stride)
-	for i := range p.cache {
-		p.cache[i] = backing[i*stride : i*stride : (i+1)*stride]
-	}
-	p.mergeBuf = make([]StateRecord, 0, 2*stride)
+	p.allocCaches()
 	for i := 0; i < cfg.N; i++ {
 		s := local.Snapshot(i)
 		p.estCap[i], p.estBW[i] = s.Capacity, s.AvgBandwidthObs
 		p.reportCap[i], p.reportBW[i] = s.Capacity, s.AvgBandwidthObs
 	}
 	return p, nil
+}
+
+// allocCaches lays out the per-node record storage for cfg.N nodes: one
+// backing array of CacheCapacity records per node, the own-record arrays
+// and the serial cycle's sender scratch.
+func (p *Protocol) allocCaches() {
+	n, stride := p.cfg.N, p.cfg.CacheCapacity
+	backing := make([]StateRecord, n*stride)
+	p.cache = make([][]StateRecord, n)
+	for i := range p.cache {
+		p.cache[i] = backing[i*stride : i*stride : (i+1)*stride]
+	}
+	p.own = make([]StateRecord, n)
+	p.hasOwn = make([]bool, n)
+	p.version = make([]uint32, n)
+	p.idle = make([]idleMemo, n)
+	p.send = newSender(n, stride)
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -232,17 +246,17 @@ func (p *Protocol) cycle(now float64) {
 			continue
 		}
 		// Refresh own record and push to fan-out random targets.
-		own := StateRecord{
+		p.mergeOwn(i, StateRecord{
 			Node: i, Capacity: s.Capacity, TotalLoadMI: s.TotalLoadMI,
 			Timestamp: now, TTL: p.cfg.TTL,
-		}
-		p.merge(i, own, now)
+		}, now)
+		p.compose(p.send, i, now)
 		targets := stats.SampleWithoutInto(p.rng, p.cfg.N, p.cfg.FanOut, i, p.sampleBuf)
 		for _, t := range targets {
 			if !p.local.Snapshot(t).Alive {
 				continue
 			}
-			p.push(i, t, now)
+			p.push(p.send, t, now)
 		}
 		// Aggregation: one push-pull averaging exchange (reusing the sample
 		// buffer is safe: the fan-out targets above were fully consumed).
@@ -257,174 +271,210 @@ func (p *Protocol) cycle(now float64) {
 			p.BytesSent += 2 * MessageBytes // push and pull
 		}
 	}
+	p.send.reset()
 }
 
-// push sends node from's whole cache (records with hops left) to node to.
-// Both caches are sorted by origin, so the receive side is one linear
-// sorted-merge into a scratch buffer - no per-record binary search, no
-// insertion shifting - with freshness expiry folded in; only the capacity
-// eviction still scans. The cycle never pushes a node to itself, so src and
-// dst never alias.
-func (p *Protocol) push(from, to int, now float64) {
-	p.MessagesSent++
-	var bytes uint64
-	p.mergeBuf, bytes = p.pushInto(from, to, now, p.mergeBuf)
-	p.BytesSent += bytes
+// sender is one gossip turn's outgoing message plus the scratch its
+// pushes share. Pushes write only the receivers' records, so the sender's
+// records cannot change during its turn: compose builds the message once
+// and all fan-out pushes deliver it. The serial cycle owns one
+// sender; each parallel worker owns another.
+type sender struct {
+	// msg is what one push carries: the sender's records with hops left,
+	// TTL already decremented, expired ones dropped, in eviction order
+	// with the sender's own record at its place.
+	msg []StateRecord
+	// bytes is the traffic one push costs. Every record with hops left
+	// is sent, so expired ones count too.
+	bytes uint64
+	// pos[origin] is 1 + the index of origin's record in msg, 0 if msg
+	// carries none. compose sets it and reset clears it, so it is all
+	// zero between turns.
+	pos []int32
+	// lost[k] == pushes: a receiver's copy beat msg[k] in that push.
+	lost   []uint32
+	pushes uint32
+	// spare is an empty slot of capacity CacheCapacity. A push writes the
+	// receiver's new list into it and takes the old list as the next spare.
+	spare []StateRecord
 }
 
-// pushInto is push's body over a caller-owned merge buffer, returning the
-// (possibly grown) buffer and the bytes sent. The parallel executor calls
-// it with per-worker buffers and accumulates the traffic counters itself;
-// the serial path wraps it in push.
-func (p *Protocol) pushInto(from, to int, now float64, buf []StateRecord) ([]StateRecord, uint64) {
-	src, dst := p.cache[from], p.cache[to]
+func newSender(n, stride int) *sender {
+	return &sender{
+		msg:   make([]StateRecord, 0, stride+1),
+		pos:   make([]int32, n),
+		lost:  make([]uint32, 0, stride+1),
+		spare: make([]StateRecord, 0, stride),
+	}
+}
+
+// reset drops the composed message and clears its pos entries.
+func (s *sender) reset() {
+	for _, rec := range s.msg {
+		s.pos[rec.Node] = 0
+	}
+	s.msg, s.bytes, s.pushes = s.msg[:0], 0, 0
+}
+
+// add appends one of the sender's records to the message.
+func (s *sender) add(rec StateRecord, now, expiry float64) {
+	if rec.TTL <= 0 {
+		return
+	}
+	s.bytes += MessageBytes
+	rec.TTL--
+	if now-rec.Timestamp <= expiry {
+		s.msg = append(s.msg, rec)
+		s.pos[rec.Node] = int32(len(s.msg))
+	}
+}
+
+// compose builds node from's outgoing message for the current turn into
+// s, replacing the previous one.
+func (p *Protocol) compose(s *sender, from int, now float64) {
+	s.reset()
 	expiry := p.expirySeconds()
-	out := buf[:0]
-	var bytes uint64
-	si, di := 0, 0
-	for si < len(src) || di < len(dst) {
-		switch {
-		case di == len(dst) || (si < len(src) && src[si].Node < dst[di].Node):
-			// New origin arriving with the push.
-			rec := src[si]
-			si++
-			if rec.TTL <= 0 {
-				continue
-			}
-			bytes += MessageBytes
-			rec.TTL--
-			if now-rec.Timestamp <= expiry {
-				out = append(out, rec)
-			}
-		case si == len(src) || dst[di].Node < src[si].Node:
-			// Receiver-only origin: survives unless its record expired.
-			rec := dst[di]
-			di++
-			if now-rec.Timestamp <= expiry {
-				out = append(out, rec)
-			}
-		default:
-			// Both sides know this origin: keep the freshest record
-			// (higher timestamp, then higher remaining TTL).
-			rec, old := src[si], dst[di]
-			si++
-			di++
-			if rec.TTL > 0 {
-				bytes += MessageBytes
-				rec.TTL--
-				if now-rec.Timestamp <= expiry && fresher(rec, old) {
-					out = append(out, rec)
-					continue
-				}
-			}
-			if now-old.Timestamp <= expiry {
-				out = append(out, old)
-			}
+	own, hasOwn := p.own[from], p.hasOwn[from]
+	for _, rec := range p.cache[from] {
+		if hasOwn && ahead(&own, &rec) {
+			s.add(own, now, expiry)
+			hasOwn = false
 		}
+		s.add(rec, now, expiry)
 	}
-	p.evict(to, out)
-	return out, bytes
+	if hasOwn {
+		s.add(own, now, expiry)
+	}
+	s.lost = slices.Grow(s.lost[:0], len(s.msg))[:len(s.msg)]
+	clear(s.lost)
 }
 
-// evict enforces the cache capacity bound on the merged view and installs
-// it as node to's cache, reusing the preallocated backing array. The
-// stalest records go first (ties to the lowest origin, which ascending
-// index order yields); the node's own record is always kept. Victims are
-// the over smallest eligible records by (timestamp, index). Rather than
-// ordering the records, a counting pass per distinct timestamp, stalest
-// first, finds the cut: the timestamp at which the running count reaches
-// over. The compaction pass then drops every eligible record stamped
-// before the cut and the first records stamped at the cut, in index
-// order, until over are gone. The cost is O(len(out)) per distinct
-// timestamp up to the cut; records are minted only at cycle instants and
-// expire after ExpiryCycles, so a merged view holds a handful of distinct
-// timestamps.
-func (p *Protocol) evict(to int, out []StateRecord) {
-	// After the loop, cut is the last timestamp counted and take the number
-	// of records stamped at cut that are victims; below counts every
-	// eligible record stamped at or before cut (0: no victims).
-	var cut float64
-	take, below := 0, 0
-	for over := len(out) - p.cfg.CacheCapacity; below < over; {
-		next, count := 0.0, 0
-		for i := range out {
-			ts := out[i].Timestamp
-			if out[i].Node == to || (below > 0 && ts <= cut) {
-				continue
-			}
-			switch {
-			case count == 0 || ts < next:
-				next, count = ts, 1
-			case ts == next:
-				count++
-			}
-		}
-		if count == 0 {
-			break // fewer eligible records than over: all go
-		}
-		cut, take = next, min(count, over-below)
-		below += count
+// push sends the composed message to node to.
+func (p *Protocol) push(s *sender, to int, now float64) {
+	p.MessagesSent++
+	p.BytesSent += s.bytes
+	p.deliver(s, to, now)
+}
+
+// deliver merges the composed message into node to's records. Per origin
+// the fresher copy survives if it has not expired; then the stalest
+// records beyond the capacity go (ties to the lowest origin), never the
+// receiver's own record, which still takes one slot. Message and cache
+// are both in eviction order, so this is one ordered merge that stops once
+// the cache is full: the victims and the receiver's expired records (its
+// tail) are never read. The cycle never pushes a node to itself.
+func (p *Protocol) deliver(s *sender, to int, now float64) {
+	expiry := p.expirySeconds()
+	s.pushes++
+	own, hasOwn := p.own[to], p.hasOwn[to] && now-p.own[to].Timestamp <= expiry
+	if k := s.pos[to]; k > 0 && (!hasOwn || fresher(&s.msg[k-1], &own)) {
+		own, hasOwn = s.msg[k-1], true
 	}
-	dst := p.cache[to][:0]
-	for i := range out {
-		if below > 0 && out[i].Node != to {
-			switch ts := out[i].Timestamp; {
-			case ts < cut:
-				continue
-			case ts == cut && take > 0:
-				take--
-				continue
-			}
-		}
-		dst = append(dst, out[i])
+	limit := p.cfg.CacheCapacity
+	if hasOwn {
+		limit--
 	}
-	p.cache[to] = dst
+	msg, dst, out := s.msg, p.cache[to], s.spare[:cap(s.spare)]
+	n, mi, di := 0, 0, s.live(dst, 0, now, expiry)
+merge:
+	for ; n < limit; n++ {
+		for mi < len(msg) && (msg[mi].Node == to || s.lost[mi] == s.pushes) {
+			mi++
+		}
+		switch {
+		case mi < len(msg) && (di == len(dst) || ahead(&msg[mi], &dst[di])):
+			out[n] = msg[mi]
+			mi++
+		case di < len(dst):
+			out[n] = dst[di]
+			di = s.live(dst, di+1, now, expiry)
+		default:
+			break merge
+		}
+	}
+	p.cache[to], s.spare = out[:n], dst[:0]
+	p.own[to], p.hasOwn[to] = own, hasOwn
 	p.version[to]++
 }
 
-// findOrigin locates origin in recs (sorted by Node). It returns the
-// matching index, or the insertion position with found == false.
-func findOrigin(recs []StateRecord, origin int) (idx int, found bool) {
-	lo, hi := 0, len(recs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if recs[mid].Node < origin {
-			lo = mid + 1
-		} else {
-			hi = mid
+// live returns the index of the first receiver record at or after di that
+// is neither expired nor superseded by the message, len(dst) if none is.
+// A receiver record that beats the message's copy of its origin marks that
+// copy lost; the record comes first in the merge, so the mark is set
+// before the copy is reached. Every message record is fresh, and so is any
+// receiver copy at least as fresh, so the first expired receiver record
+// ends the receiver's side.
+func (s *sender) live(dst []StateRecord, di int, now, expiry float64) int {
+	for ; di < len(dst); di++ {
+		if now-dst[di].Timestamp > expiry {
+			return len(dst)
+		}
+		k := s.pos[dst[di].Node]
+		if k == 0 {
+			return di
+		}
+		if !fresher(&s.msg[k-1], &dst[di]) {
+			s.lost[k-1] = s.pushes
+			return di
 		}
 	}
-	return lo, lo < len(recs) && recs[lo].Node == origin
+	return di
+}
+
+// ahead reports whether record a comes before record b in eviction order:
+// the later mint first, and among equal mints the higher origin. Eviction
+// drops records from the end of this order.
+func ahead(a, b *StateRecord) bool {
+	return a.Timestamp > b.Timestamp ||
+		(a.Timestamp == b.Timestamp && a.Node > b.Node)
 }
 
 // fresher reports whether record a supersedes record b about the same
 // origin: a later mint time wins, and among equal mints the copy with more
-// forwarding hops left. Both of the protocol's install paths (merge and
-// push's sorted-merge) share this single definition.
-func fresher(a, b StateRecord) bool {
+// forwarding hops left.
+func fresher(a, b *StateRecord) bool {
 	return a.Timestamp > b.Timestamp ||
 		(a.Timestamp == b.Timestamp && a.TTL > b.TTL)
 }
 
-// merge keeps the freshest record per origin, inserting in origin order.
-func (p *Protocol) merge(at int, rec StateRecord, now float64) {
-	if now-rec.Timestamp > p.expirySeconds() {
+// mergeOwn installs node at's freshly minted own record unless it expired
+// or the record held is at least as fresh.
+func (p *Protocol) mergeOwn(at int, rec StateRecord, now float64) {
+	if now-rec.Timestamp > p.expirySeconds() || (p.hasOwn[at] && !fresher(&rec, &p.own[at])) {
 		return
 	}
-	recs := p.cache[at]
-	i, ok := findOrigin(recs, rec.Node)
-	if ok {
-		if fresher(rec, recs[i]) {
-			recs[i] = rec
-			p.version[at]++
-		}
-		return
-	}
-	recs = append(recs, StateRecord{})
-	copy(recs[i+1:], recs[i:])
-	recs[i] = rec
-	p.cache[at] = recs
+	p.own[at], p.hasOwn[at] = rec, true
 	p.version[at]++
+}
+
+// record returns viewer's record about origin, nil if it holds none.
+func (p *Protocol) record(viewer, origin int) *StateRecord {
+	if origin == viewer {
+		if p.hasOwn[viewer] {
+			return &p.own[viewer]
+		}
+		return nil
+	}
+	recs := p.cache[viewer]
+	for i := range recs {
+		if recs[i].Node == origin {
+			return &recs[i]
+		}
+	}
+	return nil
+}
+
+// fresh returns the records about other origins in node's cache that have
+// not expired: a prefix, since expired records sit at the tail.
+func (p *Protocol) fresh(node int) []StateRecord {
+	now, expiry := p.engine.Now(), p.expirySeconds()
+	recs := p.cache[node]
+	for i := range recs {
+		if now-recs[i].Timestamp > expiry {
+			return recs[:i]
+		}
+	}
+	return recs
 }
 
 func (p *Protocol) expirySeconds() float64 {
@@ -434,14 +484,17 @@ func (p *Protocol) expirySeconds() float64 {
 // AppendRSS appends node's current resource set - fresh records about OTHER
 // nodes, in ascending origin order - to buf and returns the extended slice.
 // Callers on the scheduling hot path pass a reused buffer (sliced to zero
-// length) to keep the per-round view allocation-free.
+// length) to keep the per-round view allocation-free. The cache is kept in
+// eviction order, so the records are insertion-sorted by origin into buf.
 func (p *Protocol) AppendRSS(node int, buf []StateRecord) []StateRecord {
-	now := p.engine.Now()
-	for _, rec := range p.cache[node] {
-		if rec.Node == node || now-rec.Timestamp > p.expirySeconds() {
-			continue
-		}
+	start := len(buf)
+	for _, rec := range p.fresh(node) {
 		buf = append(buf, rec)
+		j := len(buf) - 1
+		for ; j > start && buf[j-1].Node > rec.Node; j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = rec
 	}
 	return buf
 }
@@ -454,16 +507,7 @@ func (p *Protocol) RSS(node int) []StateRecord {
 }
 
 // RSSSize returns |RSS(node)| without materializing records.
-func (p *Protocol) RSSSize(node int) int {
-	now := p.engine.Now()
-	n := 0
-	for _, rec := range p.cache[node] {
-		if rec.Node != node && now-rec.Timestamp <= p.expirySeconds() {
-			n++
-		}
-	}
-	return n
-}
+func (p *Protocol) RSSSize(node int) int { return len(p.fresh(node)) }
 
 // IdleKnown counts RSS entries advertising an empty queue, Fig. 11(a)'s
 // "number of idle-nodes known by each node". The count is memoized per
@@ -476,8 +520,8 @@ func (p *Protocol) IdleKnown(node int) int {
 		return memo.count
 	}
 	n := 0
-	for _, rec := range p.cache[node] {
-		if rec.Node != node && now-rec.Timestamp <= p.expirySeconds() && rec.TotalLoadMI == 0 {
+	for _, rec := range p.fresh(node) {
+		if rec.TotalLoadMI == 0 {
 			n++
 		}
 	}
@@ -496,21 +540,27 @@ func (p *Protocol) Averages(node int) (avgCapacity, avgBandwidth float64) {
 // MeanRecordAge returns the average staleness (seconds since minting) of
 // node's fresh RSS records - the information-quality metric behind the
 // scheduler's estimation error under churn. Returns 0 for an empty view.
+// The ages are summed in ascending origin order, each step selecting the
+// next origin, so the float sum does not depend on the cache's order.
 func (p *Protocol) MeanRecordAge(node int) float64 {
 	now := p.engine.Now()
-	var sum float64
-	n := 0
-	for _, rec := range p.cache[node] {
-		if rec.Node == node || now-rec.Timestamp > p.expirySeconds() {
-			continue
-		}
-		sum += now - rec.Timestamp
-		n++
-	}
-	if n == 0 {
+	recs := p.fresh(node)
+	if len(recs) == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	var sum float64
+	prev := -1
+	for range recs {
+		next := -1
+		for i := range recs {
+			if o := recs[i].Node; o > prev && (next < 0 || o < recs[next].Node) {
+				next = i
+			}
+		}
+		sum += now - recs[next].Timestamp
+		prev = recs[next].Node
+	}
+	return sum / float64(len(recs))
 }
 
 // RecordAge returns the staleness (seconds since minting) of viewer's
@@ -519,11 +569,11 @@ func (p *Protocol) MeanRecordAge(node int) float64 {
 // counterpart of MeanRecordAge: the scheduler's information age about
 // one specific node, sampled by the observability layer at dispatch.
 func (p *Protocol) RecordAge(viewer, origin int) (age float64, ok bool) {
-	i, ok := findOrigin(p.cache[viewer], origin)
-	if !ok {
+	rec := p.record(viewer, origin)
+	if rec == nil {
 		return 0, false
 	}
-	age = p.engine.Now() - p.cache[viewer][i].Timestamp
+	age = p.engine.Now() - rec.Timestamp
 	if age > p.expirySeconds() {
 		return 0, false
 	}
@@ -535,8 +585,8 @@ func (p *Protocol) RecordAge(viewer, origin int) (age float64, ok bool) {
 // state record in RSS(p_s)"), so one scheduling round does not flood a
 // single node before gossip refreshes.
 func (p *Protocol) AddLoadHint(scheduler, target int, deltaMI float64) {
-	if i, ok := findOrigin(p.cache[scheduler], target); ok {
-		p.cache[scheduler][i].TotalLoadMI += deltaMI
+	if rec := p.record(scheduler, target); rec != nil {
+		rec.TotalLoadMI += deltaMI
 		p.version[scheduler]++
 	}
 }
@@ -545,11 +595,16 @@ func (p *Protocol) AddLoadHint(scheduler, target int, deltaMI float64) {
 // calls it when a node departs non-gracefully only in tests; normal churn
 // relies on freshness expiry like the real protocol would.
 func (p *Protocol) ForgetNode(origin int) {
-	for i := range p.cache {
-		recs := p.cache[i]
-		if j, ok := findOrigin(recs, origin); ok {
-			copy(recs[j:], recs[j+1:])
-			p.cache[i] = recs[:len(recs)-1]
+	for i, recs := range p.cache {
+		if i == origin {
+			if p.hasOwn[i] {
+				p.hasOwn[i] = false
+				p.version[i]++
+			}
+			continue
+		}
+		if j := slices.IndexFunc(recs, func(r StateRecord) bool { return r.Node == origin }); j >= 0 {
+			p.cache[i] = slices.Delete(recs, j, j+1)
 			p.version[i]++
 		}
 	}

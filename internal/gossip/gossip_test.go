@@ -376,6 +376,25 @@ func BenchmarkGossipCycle500(b *testing.B) {
 	}
 }
 
+// BenchmarkGossipCycle1000 times one gossip cycle at the paper's 1000
+// nodes, after 10 warm cycles have filled every cache.
+func BenchmarkGossipCycle1000(b *testing.B) {
+	engine := sim.NewEngine()
+	grid := newFakeGrid(1000, 1)
+	p, err := New(engine, Config{N: 1000, Seed: 1}, grid)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Start(0)
+	const warm = 10
+	engine.RunUntil(warm * 300)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engine.RunUntil(float64(warm+i+1) * 300)
+	}
+}
+
 func TestTrafficAccountingMatchesPaperModel(t *testing.T) {
 	engine, _, p := startProtocol(t, 100, 47)
 	engine.RunUntil(10 * 300)

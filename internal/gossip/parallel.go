@@ -45,7 +45,11 @@ type parallelCycle struct {
 	opCount  []int32        // per-node op counter used while building
 	progress []atomic.Int32 // per-node executed-op counter
 
-	bufs [][]StateRecord // per-worker merge scratch
+	// senders holds each worker's outgoing-message scratch. A node's
+	// turn - its own-record merge, then its pushes - is contiguous in the
+	// op sequence of the one worker that owns the node, so that worker
+	// composes the message at the merge op and its pushes deliver it.
+	senders []*sender
 }
 
 func newParallelCycle(n, workers, stride int) *parallelCycle {
@@ -53,10 +57,10 @@ func newParallelCycle(n, workers, stride int) *parallelCycle {
 		ownRecs:  make([]StateRecord, n),
 		opCount:  make([]int32, n),
 		progress: make([]atomic.Int32, n),
-		bufs:     make([][]StateRecord, workers),
+		senders:  make([]*sender, workers),
 	}
-	for i := range pc.bufs {
-		pc.bufs[i] = make([]StateRecord, 0, 2*stride)
+	for i := range pc.senders {
+		pc.senders[i] = newSender(n, stride)
 	}
 	return pc
 }
@@ -65,8 +69,8 @@ func newParallelCycle(n, workers, stride int) *parallelCycle {
 // bit-identical to the serial loop in cycle. The epoch restart already ran.
 func (p *Protocol) cycleParallel(now float64) {
 	workers := p.cfg.Workers
-	if p.par == nil || len(p.par.bufs) != workers {
-		p.par = newParallelCycle(p.cfg.N, workers, p.cfg.CacheCapacity+1)
+	if p.par == nil || len(p.par.senders) != workers {
+		p.par = newParallelCycle(p.cfg.N, workers, p.cfg.CacheCapacity)
 	}
 	pc := p.par
 
@@ -121,7 +125,7 @@ func (p *Protocol) cycleParallel(now float64) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				buf := pc.bufs[w]
+				s := pc.senders[w]
 				var m, b uint64
 				for k := range pc.ops {
 					op := &pc.ops[k]
@@ -132,21 +136,21 @@ func (p *Protocol) cycleParallel(now float64) {
 						runtime.Gosched()
 					}
 					if op.to == op.from {
-						p.merge(int(op.from), pc.ownRecs[op.from], now)
+						p.mergeOwn(int(op.from), pc.ownRecs[op.from], now)
+						p.compose(s, int(op.from), now)
 						pc.progress[op.from].Store(op.seqFrom + 1)
 						continue
 					}
 					for pc.progress[op.to].Load() != op.seqTo {
 						runtime.Gosched()
 					}
-					var nb uint64
-					buf, nb = p.pushInto(int(op.from), int(op.to), now, buf)
+					p.deliver(s, int(op.to), now)
 					m++
-					b += nb
+					b += s.bytes
 					pc.progress[op.from].Store(op.seqFrom + 1)
 					pc.progress[op.to].Store(op.seqTo + 1)
 				}
-				pc.bufs[w] = buf
+				s.reset()
 				msgsTotal.Add(m)
 				bytesTotal.Add(b)
 			}(w)

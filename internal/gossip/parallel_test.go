@@ -37,8 +37,8 @@ func runCycles(t *testing.T, n, workers, cycles int, seed int64) *Protocol {
 }
 
 // TestParallelCycleBitIdentical pins the executor's core guarantee: any
-// worker count yields byte-identical caches, estimates and traffic
-// counters to the serial loop.
+// worker count yields byte-identical caches, own records, estimates and
+// traffic counters to the serial loop.
 func TestParallelCycleBitIdentical(t *testing.T) {
 	const n, cycles, seed = 120, 8, 42
 	serial := runCycles(t, n, 1, cycles, seed)
@@ -58,6 +58,10 @@ func TestParallelCycleBitIdentical(t *testing.T) {
 					t.Fatalf("workers=%d node %d record %d: %+v != serial %+v",
 						workers, i, j, par.cache[i][j], serial.cache[i][j])
 				}
+			}
+			if par.hasOwn[i] != serial.hasOwn[i] || par.own[i] != serial.own[i] {
+				t.Fatalf("workers=%d node %d own record (%v, %+v) != serial (%v, %+v)",
+					workers, i, par.hasOwn[i], par.own[i], serial.hasOwn[i], serial.own[i])
 			}
 			if par.estCap[i] != serial.estCap[i] || par.estBW[i] != serial.estBW[i] {
 				t.Fatalf("workers=%d node %d estimates (%v, %v) != serial (%v, %v)",
@@ -80,10 +84,16 @@ func TestParallelCycleWorkerCountExceedsNodes(t *testing.T) {
 			par.MessagesSent, par.BytesSent, serial.MessagesSent, serial.BytesSent)
 	}
 	for i := range serial.cache {
+		if len(par.cache[i]) != len(serial.cache[i]) {
+			t.Fatalf("node %d cache size %d != serial %d", i, len(par.cache[i]), len(serial.cache[i]))
+		}
 		for j := range serial.cache[i] {
 			if par.cache[i][j] != serial.cache[i][j] {
 				t.Fatalf("node %d record %d differs", i, j)
 			}
+		}
+		if par.hasOwn[i] != serial.hasOwn[i] || par.own[i] != serial.own[i] {
+			t.Fatalf("node %d own record differs", i)
 		}
 	}
 }
