@@ -14,6 +14,7 @@ package repro_test
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -65,14 +66,14 @@ func BenchmarkFig3Example(b *testing.B) {
 // ACT and AE and the best competitor ACT.
 func BenchmarkFig4to6Static(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.StaticComparison(benchScale, benchSeed)
+		res, err := experiments.StaticComparisonRep(benchScale, benchSeed, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var dsmfACT, dsmfAE float64
-		for _, r := range results {
-			if r.Algo == "DSMF" {
-				dsmfACT, dsmfAE = r.Final.ACT, r.Final.AE
+		for _, c := range res.Cells {
+			if c.Algo == "DSMF" {
+				dsmfACT, dsmfAE = c.Stats[0].Final.ACT, c.Stats[0].Final.AE
 			}
 		}
 		b.ReportMetric(dsmfACT, "DSMF-ACT(s)")
@@ -84,7 +85,7 @@ func BenchmarkFig4to6Static(b *testing.B) {
 // numbers (4 algorithms x 2 variants).
 func BenchmarkFCFSAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, results, err := experiments.FCFSAblation(benchScale, benchSeed)
+		table, err := experiments.FCFSAblation(benchScale, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,8 +96,13 @@ func BenchmarkFCFSAblation(b *testing.B) {
 		// algorithm pairs: positive means the second phase helps, the
 		// paper's conclusion ("FCFS is not suggested").
 		var gap float64
-		for i := 0; i < len(results); i += 2 {
-			gap += results[i+1].Final.ACT - results[i].Final.ACT
+		for _, row := range table.Rows {
+			policy, err1 := strconv.ParseFloat(row[1], 64)
+			fcfs, err2 := strconv.ParseFloat(row[2], 64)
+			if err1 != nil || err2 != nil {
+				b.Fatalf("ablation row %q", row)
+			}
+			gap += fcfs - policy
 		}
 		b.ReportMetric(gap/4, "meanACTgap(s)")
 	}
@@ -106,7 +112,7 @@ func BenchmarkFCFSAblation(b *testing.B) {
 // per algorithm per load factor 1..3 at bench scale; the paper sweeps 1..8).
 func BenchmarkFig7and8LoadFactor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		act, ae, err := experiments.LoadFactorSweep(benchScale, benchSeed, 3)
+		act, ae, err := experiments.LoadFactorSweepRep(benchScale, benchSeed, 3, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +128,7 @@ func BenchmarkFig9and10CCR(b *testing.B) {
 	scale := benchScale
 	scale.HorizonHours = 8
 	for i := 0; i < b.N; i++ {
-		act, ae, err := experiments.CCRSweep(scale, benchSeed)
+		act, ae, err := experiments.CCRSweepRep(scale, benchSeed, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,12 +158,12 @@ func BenchmarkFig11Scalability(b *testing.B) {
 // dynamic factors 0, 0.2 and 0.4, reporting the df=0.4 throughput ratio.
 func BenchmarkFig12to14Churn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.ChurnSweep(benchScale, benchSeed, []float64{0, 0.2, 0.4}, false)
+		res, err := experiments.ChurnSweepRep(benchScale, benchSeed, []float64{0, 0.2, 0.4}, false, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		base := float64(results[0].Final.Completed)
-		worst := float64(results[2].Final.Completed)
+		base := float64(res.Cells[0].Stats[0].Final.Completed)
+		worst := float64(res.Cells[2].Stats[0].Final.Completed)
 		if base > 0 {
 			b.ReportMetric(worst/base, "df0.4/df0-throughput")
 		}
@@ -169,17 +175,18 @@ func BenchmarkFig12to14Churn(b *testing.B) {
 // completion fraction.
 func BenchmarkRescheduleExtension(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		plain, err := experiments.ChurnSweep(benchScale, benchSeed, []float64{0.2}, false)
+		plain, err := experiments.ChurnSweepRep(benchScale, benchSeed, []float64{0.2}, false, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		resched, err := experiments.ChurnSweep(benchScale, benchSeed, []float64{0.2}, true)
+		resched, err := experiments.ChurnSweepRep(benchScale, benchSeed, []float64{0.2}, true, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if plain[0].Submitted > 0 {
-			b.ReportMetric(float64(plain[0].Final.Completed)/float64(plain[0].Submitted), "plain-completion")
-			b.ReportMetric(float64(resched[0].Final.Completed)/float64(resched[0].Submitted), "resched-completion")
+		p, r := plain.Cells[0].Stats[0], resched.Cells[0].Stats[0]
+		if p.Submitted > 0 {
+			b.ReportMetric(float64(p.Final.Completed)/float64(p.Submitted), "plain-completion")
+			b.ReportMetric(float64(r.Final.Completed)/float64(r.Submitted), "resched-completion")
 		}
 	}
 }

@@ -37,6 +37,10 @@
 //	              -reps the replications, -out the JSON destination
 //	all           everything above (except sweep) in sequence
 //
+// -reps applies to the experiments that replicate (fig4-6, fcfs-rep,
+// fig7-8, fig9-10, fig12-14, reschedule, arrival, sla, sweep, all); the
+// single-seed experiments reject it with exit status 2.
+//
 // Workloads need not arrive in one batch: -arrival attaches an arrival
 // process (poisson:RATE, mmpp:RATE[:BURST], diurnal:RATE[:PERIODH], rates
 // in workflows/hour) to single runs and sweep cells, and -trace FILE
@@ -231,7 +235,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Int64("seed", 2010, "root random seed")
 		algo    = fs.String("algo", "DSMF", "algorithm for -experiment single")
 		maxLF   = fs.Int("maxlf", 8, "largest load factor for fig7-8 and the sweep lf axis")
-		reps    = fs.Int("reps", 1, "seed replications for fig4-6/fig7-8/fig9-10/sweep (error bars need > 1)")
+		reps    = fs.Int("reps", 1, "seed replications for fig4-6, fcfs-rep, fig7-8, fig9-10, fig12-14, reschedule, arrival, sla, sweep and all (error bars need > 1)")
 		axes    = fs.String("axes", "algo", "comma-separated sweep axes: algo,churn,lf,ccr,scale,arrival")
 		out     = fs.String("out", "", "write sweep JSON to this file (default: stdout)")
 		shard   = fs.String("shard", "", "run only shard i/n of the sweep job matrix (e.g. 0/2) and emit a mergeable partial result")
@@ -361,6 +365,13 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	if *reps < 1 {
 		fmt.Fprintf(stderr, "p2pgridsim: -reps must be at least 1, got %d\n", *reps)
 		return 2
+	}
+	if repsSet {
+		switch *name {
+		case "table1", "single", "fig3", "fcfs", "fig11", "oracle", "planners", "churn-model", "report", "families":
+			fmt.Fprintf(stderr, "p2pgridsim: -reps does not apply to -experiment %s, which runs one seed; the experiments that replicate are fig4-6, fcfs-rep, fig7-8, fig9-10, fig12-14, reschedule, arrival, sla, sweep and all\n", *name)
+			return 2
+		}
 	}
 	if (*tout != "" || *gantt) && (*name != "single" || *serve != "" || *work != "") {
 		fmt.Fprintln(stderr, "p2pgridsim: -trace-out and -gantt only apply to -experiment single (the daemon serves spans via GET /v1/workflows/{id}/trace)")
@@ -615,7 +626,7 @@ func dispatch(o options, name string) error {
 	case "fig4-6":
 		return runStatic(o)
 	case "fcfs":
-		table, _, err := experiments.FCFSAblation(o.scale, o.seed)
+		table, err := experiments.FCFSAblation(o.scale, o.seed)
 		if err != nil {
 			return err
 		}

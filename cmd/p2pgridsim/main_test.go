@@ -35,6 +35,16 @@ func TestErrorPathsExitNonZero(t *testing.T) {
 		{"stray positional argument", []string{"sweep"}},
 		{"positional after flags", []string{"-scale", "tiny", "fig4-6"}},
 		{"non-positive reps", []string{"-experiment", "table1", "-reps", "0"}},
+		{"reps on table1", []string{"-experiment", "table1", "-reps", "2"}},
+		{"reps on single", []string{"-experiment", "single", "-scale", "tiny", "-reps", "2"}},
+		{"reps on fig3", []string{"-experiment", "fig3", "-reps", "2"}},
+		{"reps on fcfs", []string{"-experiment", "fcfs", "-scale", "tiny", "-reps", "2"}},
+		{"reps on fig11", []string{"-experiment", "fig11", "-scale", "tiny", "-reps", "2"}},
+		{"reps on oracle", []string{"-experiment", "oracle", "-scale", "tiny", "-reps", "5"}},
+		{"reps on planners", []string{"-experiment", "planners", "-scale", "tiny", "-reps", "2"}},
+		{"reps on churn-model", []string{"-experiment", "churn-model", "-scale", "tiny", "-reps", "2"}},
+		{"reps on report", []string{"-experiment", "report", "-scale", "tiny", "-reps", "2"}},
+		{"reps on families", []string{"-experiment", "families", "-scale", "tiny", "-reps", "1"}},
 		{"negative maxlf on fig7-8", []string{"-experiment", "fig7-8", "-scale", "tiny", "-maxlf", "-1"}},
 		{"negative maxlf on sweep lf axis", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "lf", "-maxlf", "0"}},
 		{"unknown sweep axis", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "algo,warp"}},
@@ -83,6 +93,19 @@ func TestErrorPathsExitNonZero(t *testing.T) {
 				t.Fatalf("args %v failed silently", tc.args)
 			}
 		})
+	}
+}
+
+// TestRepsOnlyWhereReplicated pins the -reps contract: a single-seed
+// experiment rejects it as a usage error naming the experiments that
+// replicate, and a replicating one accepts it.
+func TestRepsOnlyWhereReplicated(t *testing.T) {
+	code, _, stderr := runCLI("-experiment", "oracle", "-scale", "tiny", "-reps", "5")
+	if code != 2 || !strings.Contains(stderr, "fcfs-rep") || !strings.Contains(stderr, "sweep") {
+		t.Fatalf("oracle -reps 5: exit %d, stderr:\n%s", code, stderr)
+	}
+	if code, _, stderr := runCLI("-experiment", "fcfs-rep", "-scale", "tiny", "-reps", "2"); code != 0 {
+		t.Fatalf("fcfs-rep -reps 2: exit %d, stderr:\n%s", code, stderr)
 	}
 }
 

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/grid"
 	"repro/internal/heuristics"
+	"repro/internal/stats"
 )
 
 // OracleAblation quantifies the cost of decentralized information: DSMF
@@ -13,18 +13,13 @@ import (
 // much the mixed gossip protocol gives up against perfect knowledge.
 func OracleAblation(scale Scale, seed int64) (Table, error) {
 	base := NewSetting(scale, seed)
-	if _, err := base.BuildNet(); err != nil {
-		return Table{}, err
-	}
 	oracle := base
 	oracle.OracleBandwidth = true
 	oracle.OracleAverages = true
-
-	jobs := []job{
-		{setting: base, make: heuristics.NewDSMF},
-		{setting: oracle, make: heuristics.NewDSMF},
-	}
-	results, err := runPool(jobs)
+	results, err := runBatch([]batchJob{
+		{base, heuristics.NewDSMF},
+		{oracle, heuristics.NewDSMF},
+	})
 	if err != nil {
 		return Table{}, err
 	}
@@ -47,32 +42,43 @@ func OracleAblation(scale Scale, seed int64) (Table, error) {
 // ReplicatedFCFSAblation repeats the Section IV.B ablation over several
 // seeds: the paper's own max-min gap (33495 vs 33746) is under 1%, well
 // inside single-run noise, so multi-seed means are the honest comparison.
+//
+// Replication r runs every variant at one derived seed (same topology and
+// workload), so the policy-vs-FCFS differences are paired within a
+// replication and independent across replications.
 func ReplicatedFCFSAblation(scale Scale, seed int64, reps int) (Table, error) {
-	setting := NewSetting(scale, seed)
-	bases := []AlgoFactory{
-		heuristics.NewMinMin, heuristics.NewMaxMin,
-		heuristics.NewSufferage, heuristics.NewDHEFT,
+	if reps < 1 {
+		return Table{}, fmt.Errorf("experiments: need at least 1 replication, got %d", reps)
 	}
-	var algos []AlgoFactory
-	for _, b := range bases {
-		b := b
-		algos = append(algos, b, func() grid.Algorithm { return heuristics.WithFCFSPhase2(b()) })
+	var jobs []batchJob
+	for r := 0; r < reps; r++ {
+		jobs = append(jobs, fcfsPairs(NewSetting(scale, stats.SplitSeed(seed, uint64(r)+0x5EED)))...)
 	}
-	reps0, err := Replicate(setting, algos, reps)
+	results, err := runBatch(jobs)
 	if err != nil {
 		return Table{}, err
+	}
+	// act[v] is variant v's mean ± std ACT over the replications.
+	variants := len(jobs) / reps
+	act := make([]stats.Summary, variants)
+	for v := range act {
+		xs := make([]float64, reps)
+		for r := range xs {
+			xs[r] = results[r*variants+v].Final.ACT
+		}
+		act[v] = stats.Summarize(xs)
 	}
 	t := Table{
 		Title:  fmt.Sprintf("Section IV.B ablation over %d seeds: ACT mean ± std", reps),
 		Header: []string{"algorithm", "ACT(policy)", "ACT(FCFS)", "policy wins"},
 	}
-	for i := 0; i < len(reps0); i += 2 {
-		with, fcfs := reps0[i], reps0[i+1]
+	for v := 0; v < variants; v += 2 {
+		with, fcfs := act[v], act[v+1]
 		t.Rows = append(t.Rows, []string{
-			with.Algo,
-			fmt.Sprintf("%.0f ± %.0f", with.ACT.Mean, with.ACT.Std),
-			fmt.Sprintf("%.0f ± %.0f", fcfs.ACT.Mean, fcfs.ACT.Std),
-			fmt.Sprintf("%v", with.ACT.Mean <= fcfs.ACT.Mean),
+			results[v].Algo,
+			fmt.Sprintf("%.0f ± %.0f", with.Mean, with.Std),
+			fmt.Sprintf("%.0f ± %.0f", fcfs.Mean, fcfs.Std),
+			fmt.Sprintf("%v", with.Mean <= fcfs.Mean),
 		})
 	}
 	return t, nil

@@ -1,19 +1,22 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section IV). Each figure has a runner producing the same
 // series/rows the paper plots; the CLI prints them and the benchmark
-// harness exercises them at reduced scale. Independent simulation runs fan
-// out across a goroutine worker pool - the Go-native way to use a multicore
-// machine for a parameter sweep of single-threaded deterministic
-// simulations.
+// harness exercises them at reduced scale.
+//
+// Every simulation goes through Run and fans out on one bounded worker
+// pool (executor.Local): the figures of Section IV are SweepSpecs executed
+// by the streaming sweep engine (RunSweepStream, whose cells hold reduced
+// RunStats records), and the few hand-built ablation batches (FCFS,
+// oracle, planners, churn model, Fig. 11) hand their jobs to the same
+// pool through runBatch.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/economy"
+	"repro/internal/experiments/executor"
 	"repro/internal/grid"
 	"repro/internal/heuristics"
 	"repro/internal/metrics"
@@ -124,11 +127,11 @@ func NewSetting(scale Scale, seed int64) Setting {
 }
 
 // topoConfig is the single source of the run-seed → topology-seed
-// derivation. Every topology builder (BuildNet, the lazy batch nets, the
-// sweep runner's pair nets) must route through it: the byte-identity
-// contracts — golden determinism, shard merge, warm-start cache — all
-// assume the figure runners and the sweep engine generate identical
-// networks from identical run seeds.
+// derivation. Every topology builder (BuildNet and the lazily built pair
+// nets of the sweep engine and runBatch) must route through it: the
+// byte-identity contracts — golden determinism, shard merge, warm-start
+// cache — all assume the ablation batches and the sweep engine generate
+// identical networks from identical run seeds.
 func topoConfig(nodes int, seed int64) topology.Config {
 	return topology.Config{N: nodes, Seed: stats.SplitSeed(seed, 0x70)}
 }
@@ -180,7 +183,7 @@ func Run(setting Setting, algo grid.Algorithm) (Result, error) {
 	if setting.Shards > 1 {
 		engine = sim.NewSharded(setting.Shards, net.N())
 	} else {
-		engine = newEngine()
+		engine = sim.NewEngine()
 	}
 	g, err := grid.New(engine, grid.Config{
 		Net:                net,
@@ -310,16 +313,9 @@ func wireEconomy(g *grid.Grid, setting Setting) error {
 	return nil
 }
 
-// SingleRun executes one simulation of the named algorithm (see
-// heuristics.ByName) under the default Table I setting - the unit of every
+// SingleRunWith executes one simulation of the named algorithm (see
+// heuristics.ByName) under a caller-built Setting - the unit of every
 // sweep, exposed directly for profiling and scale checks.
-func SingleRun(scale Scale, seed int64, algo string) (Result, error) {
-	return SingleRunWith(NewSetting(scale, seed), algo)
-}
-
-// SingleRunWith is SingleRun over a caller-built Setting, for runs that
-// deviate from the Table I defaults (arrival processes, trace replay,
-// ablation switches).
 func SingleRunWith(setting Setting, algo string) (Result, error) {
 	a, err := heuristics.ByName(algo)
 	if err != nil {
@@ -328,108 +324,46 @@ func SingleRunWith(setting Setting, algo string) (Result, error) {
 	return Run(setting, a)
 }
 
-// newEngine is a seam for tests.
-var newEngine = defaultEngine
-
-// AlgoFactory constructs a fresh algorithm instance. Full-ahead planners
-// carry per-run state (the availability schedule), so every concurrent
-// simulation must own its instance; the pool materializes one per job.
-type AlgoFactory = func() grid.Algorithm
-
-// job pairs a setting with one algorithm factory for the worker pool. The
-// optional net hook supplies the topology lazily on the pool (typically a
-// sync.Once shared by every job of one replication), so batch runners
-// neither generate topologies serially upfront nor retain them all.
-type job struct {
+// batchJob is one run of a hand-built ablation batch: a setting and a
+// constructor for the algorithm. Full-ahead planners carry per-run state,
+// so every concurrent run builds its own instance.
+type batchJob struct {
 	setting Setting
-	make    AlgoFactory
-	net     func() (*topology.Network, error)
+	algo    func() grid.Algorithm
 }
 
-// lazyNet memoizes one shared topology, built with BuildNet's exact seed
-// derivation on whichever pool worker needs it first.
-type lazyNet struct {
-	once sync.Once
-	net  *topology.Network
-	err  error
-	cfg  topology.Config
-}
-
-func newLazyNet(nodes int, seed int64) *lazyNet {
-	return &lazyNet{cfg: topoConfig(nodes, seed)}
-}
-
-func (l *lazyNet) get() (*topology.Network, error) {
-	l.once.Do(func() { l.net, l.err = topology.Generate(l.cfg) })
-	return l.net, l.err
-}
-
-// RunAll executes one run per factory under a shared setting, fanning out
-// across a worker pool. Results keep the factories' order.
-func RunAll(setting Setting, factories []AlgoFactory) ([]Result, error) {
-	if _, err := setting.BuildNet(); err != nil {
-		return nil, err
+// runBatch executes hand-built jobs on the sweep engine's pool
+// (executor.Local) and returns their Results in job order. Jobs whose
+// settings agree on (nodes, seed) share one topology, built lazily by
+// whichever of them runs first - the same pairing a sweep replication
+// gives its algorithms.
+func runBatch(jobs []batchJob) ([]Result, error) {
+	type netKey struct {
+		nodes int
+		seed  int64
 	}
-	jobs := make([]job, len(factories))
-	for i, f := range factories {
-		jobs[i] = job{setting: setting, make: f}
-	}
-	return runPool(jobs)
-}
-
-// runPool executes arbitrary jobs with bounded parallelism, preserving
-// order. The first error aborts the batch.
-func runPool(jobs []job) ([]Result, error) {
-	return runPoolProgress(jobs, nil)
-}
-
-// runPoolProgress is runPool with an optional progress callback, invoked
-// serially (under a lock) after each completed job with the running done
-// count and the total. Completion order is nondeterministic; results are
-// not - they keep job order.
-func runPoolProgress(jobs []job, progress func(done, total int)) ([]Result, error) {
-	results := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, maxParallelism())
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			j := jobs[i]
-			if j.net != nil {
-				if j.setting.Net, errs[i] = j.net(); errs[i] != nil {
-					return
-				}
-			}
-			results[i], errs[i] = Run(j.setting, j.make())
-			if progress != nil {
-				mu.Lock()
-				done++
-				progress(done, len(jobs))
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	nets := make(map[netKey]*pairNet)
+	ids := make([]int, len(jobs))
+	for i, j := range jobs {
+		ids[i] = i
+		k := netKey{j.setting.Scale.Nodes, j.setting.Seed}
+		if nets[k] == nil {
+			nets[k] = &pairNet{}
 		}
 	}
-	return results, nil
-}
-
-func maxParallelism() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		return 1
+	results := make([]Result, len(jobs))
+	err := executor.Local{}.Execute(ids, func(i int) error {
+		s := jobs[i].setting
+		net, err := nets[netKey{s.Scale.Nodes, s.Seed}].get(s.Scale.Nodes, s.Seed)
+		if err != nil {
+			return fmt.Errorf("experiments: topology: %w", err)
+		}
+		s.Net = net
+		results[i], err = Run(s, jobs[i].algo())
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return n
+	return results, nil
 }

@@ -72,20 +72,37 @@ func TestRunDeterministicForSameSeed(t *testing.T) {
 	}
 }
 
-func TestRunAllPreservesOrderAndSharesInputs(t *testing.T) {
-	algos := []AlgoFactory{heuristics.NewDSMF, heuristics.NewDHEFT}
-	results, err := RunAll(NewSetting(TinyScale, 5), algos)
+func TestRunBatchPreservesOrderAndSharesInputs(t *testing.T) {
+	setting := NewSetting(TinyScale, 5)
+	other := NewSetting(TinyScale, 6)
+	results, err := runBatch([]batchJob{
+		{setting, heuristics.NewDSMF},
+		{other, heuristics.NewDSMF},
+		{setting, heuristics.NewDHEFT},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
+	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
-	if results[0].Algo != "DSMF" || results[1].Algo != "DHEFT" {
-		t.Fatalf("order not preserved: %s, %s", results[0].Algo, results[1].Algo)
+	if results[0].Algo != "DSMF" || results[2].Algo != "DHEFT" {
+		t.Fatalf("order not preserved: %s, %s", results[0].Algo, results[2].Algo)
 	}
-	if results[0].Submitted != results[1].Submitted {
+	if results[0].Submitted != results[2].Submitted {
 		t.Fatal("algorithms did not face the same workload size")
+	}
+	// Jobs of one setting share one topology; another seed gets its own,
+	// and each run matches a standalone Run of its setting.
+	if results[0].Setting.Net != results[2].Setting.Net || results[0].Setting.Net == results[1].Setting.Net {
+		t.Fatal("topologies not shared per (nodes, seed)")
+	}
+	alone, err := Run(other, heuristics.NewDSMF())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.Final != results[1].Final {
+		t.Fatalf("batched run diverged from a standalone run:\n%+v\nvs\n%+v", results[1].Final, alone.Final)
 	}
 }
 
@@ -98,8 +115,8 @@ func TestDSMFBeatsDHEFTShape(t *testing.T) {
 		t.Skip("multi-run simulation in -short mode")
 	}
 	scale := Scale{Name: "shape", Nodes: 80, LoadFactor: 2, HorizonHours: 24, SnapshotHours: 1}
-	results, err := RunAll(NewSetting(scale, 11),
-		[]AlgoFactory{heuristics.NewDSMF, heuristics.NewDHEFT})
+	setting := NewSetting(scale, 11)
+	results, err := runBatch([]batchJob{{setting, heuristics.NewDSMF}, {setting, heuristics.NewDHEFT}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,23 +145,23 @@ func TestChurnSweepDegradesThroughputOnly(t *testing.T) {
 		t.Skip("multi-run simulation in -short mode")
 	}
 	scale := Scale{Name: "churn", Nodes: 60, LoadFactor: 1, HorizonHours: 18, SnapshotHours: 1}
-	results, err := ChurnSweep(scale, 13, []float64{0, 0.3}, false)
+	res, err := ChurnSweepRep(scale, 13, []float64{0, 0.3}, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, churny := results[0], results[1]
-	if static.Final.Failed != 0 {
-		t.Fatalf("df=0 failed %d workflows", static.Final.Failed)
+	static, churny := res.Cells[0].Stats[0].Final, res.Cells[1].Stats[0].Final
+	if static.Failed != 0 {
+		t.Fatalf("df=0 failed %d workflows", static.Failed)
 	}
-	if churny.Final.Failed == 0 {
+	if churny.Failed == 0 {
 		t.Fatal("df=0.3 produced no failures (churn not biting)")
 	}
-	if churny.Final.Completed >= static.Final.Completed {
+	if churny.Completed >= static.Completed {
 		t.Fatalf("churn throughput %d not below static %d",
-			churny.Final.Completed, static.Final.Completed)
+			churny.Completed, static.Completed)
 	}
-	if churny.Algo != "df=0.3" {
-		t.Fatalf("result label %s", churny.Algo)
+	if label := churnLabel(&res.Cells[1]); label != "df=0.3" {
+		t.Fatalf("cell label %s", label)
 	}
 }
 
@@ -153,17 +170,17 @@ func TestReschedulingImprovesChurnThroughput(t *testing.T) {
 		t.Skip("multi-run simulation in -short mode")
 	}
 	scale := Scale{Name: "resched", Nodes: 60, LoadFactor: 1, HorizonHours: 18, SnapshotHours: 1}
-	plain, err := ChurnSweep(scale, 17, []float64{0.3}, false)
+	plain, err := ChurnSweepRep(scale, 17, []float64{0.3}, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resched, err := ChurnSweep(scale, 17, []float64{0.3}, true)
+	resched, err := ChurnSweepRep(scale, 17, []float64{0.3}, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resched[0].Final.Completed < plain[0].Final.Completed {
-		t.Errorf("rescheduling lowered throughput: %d vs %d",
-			resched[0].Final.Completed, plain[0].Final.Completed)
+	p, r := plain.Cells[0].Stats[0].Final, resched.Cells[0].Stats[0].Final
+	if r.Completed < p.Completed {
+		t.Errorf("rescheduling lowered throughput: %d vs %d", r.Completed, p.Completed)
 	}
 }
 

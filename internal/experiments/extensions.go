@@ -6,6 +6,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/grid"
 	"repro/internal/heuristics"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -16,21 +17,25 @@ import (
 // figure.
 func PlannerShootout(scale Scale, seed int64) (Table, error) {
 	setting := NewSetting(scale, seed)
-	if _, err := setting.BuildNet(); err != nil {
-		return Table{}, err
-	}
-	algos := []AlgoFactory{
+	var jobs []batchJob
+	for _, algo := range []func() grid.Algorithm{
 		heuristics.NewHEFT,
 		heuristics.NewHEFTInsertion,
 		heuristics.NewLAHEFT,
 		heuristics.NewCPOP,
 		heuristics.NewSMF,
+	} {
+		jobs = append(jobs, batchJob{setting, algo})
 	}
-	results, err := RunAll(setting, algos)
+	results, err := runBatch(jobs)
 	if err != nil {
 		return Table{}, err
 	}
-	return SummaryTable("Full-ahead planner shootout (extension)", results), nil
+	t := finalStateTable("Full-ahead planner shootout (extension)")
+	for _, r := range results {
+		t.Rows = append(t.Rows, finalRow(r.Algo, r.Final))
+	}
+	return t, nil
 }
 
 // ChurnModelAblation contrasts the default graceful churn-loss model with
@@ -49,15 +54,9 @@ func ChurnModelAblation(scale Scale, seed int64, df float64) (Table, error) {
 		s.Harsh = harsh
 		return s
 	}
-	soft := mk(false)
-	if _, err := soft.BuildNet(); err != nil {
-		return Table{}, err
-	}
-	harsh := mk(true)
-	harsh.Net = soft.Net
-	results, err := runPool([]job{
-		{setting: soft, make: heuristics.NewDSMF},
-		{setting: harsh, make: heuristics.NewDSMF},
+	results, err := runBatch([]batchJob{
+		{mk(false), heuristics.NewDSMF},
+		{mk(true), heuristics.NewDSMF},
 	})
 	if err != nil {
 		return Table{}, err
@@ -93,7 +92,7 @@ func FamilyComparison(scale Scale, seed int64) (Table, error) {
 		Header: []string{"family", "workflows", "completed", "ACT(s)", "AE", "depth", "parallelism"},
 	}
 	for _, fam := range dag.Families() {
-		engine := newEngine()
+		engine := sim.NewEngine()
 		g, err := grid.New(engine, grid.Config{Net: net, Seed: seed}, heuristics.NewDSMF())
 		if err != nil {
 			return Table{}, err

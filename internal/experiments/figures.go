@@ -33,28 +33,11 @@ type Table struct {
 	Rows   [][]string
 }
 
-// StaticComparison runs all eight algorithms once under the headline static
-// setting of Figs. 4-6 and returns per-algorithm results (shared topology
-// and workload). It is the single-replication slice of StaticComparisonRep
-// with run retention switched on (callers consume full Results); routing it
-// through the sweep engine keeps the two bit-identical (the golden
-// determinism test pins this path).
-func StaticComparison(scale Scale, seed int64) ([]Result, error) {
-	res, err := RunSweepStream(staticComparisonSpec(scale, seed, 1), RunOptions{RetainRuns: true})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(res.Cells))
-	for i, c := range res.Cells {
-		results[i] = c.Runs[0]
-	}
-	return results, nil
-}
-
-// StaticComparisonRep replicates the Figs. 4-6 comparison over reps
-// independent seeds through the streaming sweep engine (per-run Results are
-// dropped as cells finalize); replication 0 is exactly the StaticComparison
-// run at the same seed.
+// StaticComparisonRep runs all eight algorithms under the headline static
+// setting of Figs. 4-6 (shared topology and workload per replication),
+// replicated over reps independent seeds through the sweep engine.
+// Replication 0 runs at seed itself, so reps = 1 is the single-seed figure
+// the golden determinism test pins.
 func StaticComparisonRep(scale Scale, seed int64, reps int) (*SweepResult, error) {
 	return RunSweepStream(staticComparisonSpec(scale, seed, reps), RunOptions{})
 }
@@ -68,112 +51,42 @@ func staticComparisonSpec(scale Scale, seed int64, reps int) SweepSpec {
 	}
 }
 
-// Figure titles shared by the single-run and replicated extractors.
+// Figure titles of the static comparison.
 const (
 	fig4Title = "Fig. 4: Throughput of Workflows in Static P2P Grid System"
 	fig5Title = "Fig. 5: Average Finish-time of Workflows in Static P2P Grid System"
 	fig6Title = "Fig. 6: Average Efficiency of Workflows in Static P2P Grid System"
 )
 
-// Streaming-side series extractors: the runner drops full Results as cells
-// finalize, so replicated figures read the reduced per-replication records.
+// Series extractors over the reduced per-replication records.
 func statThroughput(st *metrics.RunStats) []float64 { return st.Throughput }
 func statACT(st *metrics.RunStats) []float64        { return st.ACT }
 func statAE(st *metrics.RunStats) []float64         { return st.AE }
 
-// Fig4Throughput, Fig5FinishTime and Fig6Efficiency on a SweepResult
-// extract the static figures with error bars (mean ± 95% CI across the
-// sweep's replications).
+// Fig4Throughput, Fig5FinishTime and Fig6Efficiency extract the static
+// figures, with error bars (mean ± 95% CI across the sweep's
+// replications) when replicated.
 func (r *SweepResult) Fig4Throughput() SeriesSet {
 	return r.Series(fig4Title, "hour", "# of workflows finished", statThroughput)
 }
 
-// Fig5FinishTime extracts the replicated ACT series of Fig. 5.
+// Fig5FinishTime extracts the ACT series of Fig. 5.
 func (r *SweepResult) Fig5FinishTime() SeriesSet {
 	return r.Series(fig5Title, "hour", "ACT (s)", statACT)
 }
 
-// Fig6Efficiency extracts the replicated AE series of Fig. 6.
+// Fig6Efficiency extracts the AE series of Fig. 6.
 func (r *SweepResult) Fig6Efficiency() SeriesSet {
 	return r.Series(fig6Title, "hour", "AE", statAE)
-}
-
-func hoursAxis(results []Result) []float64 {
-	if len(results) == 0 {
-		return nil
-	}
-	snaps := results[0].Collector.Snapshots
-	x := make([]float64, len(snaps))
-	for i, s := range snaps {
-		x[i] = s.TimeHours
-	}
-	return x
-}
-
-// Fig4Throughput extracts the throughput-over-time series of Fig. 4.
-func Fig4Throughput(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig4Title,
-		XLabel: "hour", YLabel: "# of workflows finished",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		ys := make([]float64, len(r.Collector.Snapshots))
-		for i, tp := range r.Collector.Throughput() {
-			ys[i] = float64(tp)
-		}
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: ys})
-	}
-	return set
-}
-
-// Fig5FinishTime extracts the average-completion-time series of Fig. 5.
-func Fig5FinishTime(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig5Title,
-		XLabel: "hour", YLabel: "ACT (s)",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: r.Collector.ACTSeries()})
-	}
-	return set
-}
-
-// Fig6Efficiency extracts the average-efficiency series of Fig. 6.
-func Fig6Efficiency(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig6Title,
-		XLabel: "hour", YLabel: "AE",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: r.Collector.AESeries()})
-	}
-	return set
 }
 
 // FCFSAblation reproduces the Section IV.B numbers: the converged ACT of
 // min-min, max-min, sufferage and DHEFT with their second-phase policies
 // versus the "original versions using FCFS on the second-phase scheduling".
-func FCFSAblation(scale Scale, seed int64) (Table, []Result, error) {
-	setting := NewSetting(scale, seed)
-	if _, err := setting.BuildNet(); err != nil {
-		return Table{}, nil, err
-	}
-	bases := []AlgoFactory{
-		heuristics.NewMinMin, heuristics.NewMaxMin,
-		heuristics.NewSufferage, heuristics.NewDHEFT,
-	}
-	var jobs []job
-	for _, b := range bases {
-		b := b
-		jobs = append(jobs, job{setting: setting, make: b})
-		jobs = append(jobs, job{setting: setting, make: func() grid.Algorithm { return heuristics.WithFCFSPhase2(b()) }})
-	}
-	results, err := runPool(jobs)
+func FCFSAblation(scale Scale, seed int64) (Table, error) {
+	results, err := runBatch(fcfsPairs(NewSetting(scale, seed)))
 	if err != nil {
-		return Table{}, nil, err
+		return Table{}, err
 	}
 	table := Table{
 		Title:  "Section IV.B: converged ACT with second-phase policy vs FCFS",
@@ -188,13 +101,23 @@ func FCFSAblation(scale Scale, seed int64) (Table, []Result, error) {
 			fmt.Sprintf("%v", with.Final.ACT <= fcfs.Final.ACT),
 		})
 	}
-	return table, results, nil
+	return table, nil
 }
 
-// LoadFactorSweep runs Figs. 7-8 once: every algorithm at load factors
-// 1..maxLF, reporting the final ACT and AE per cell.
-func LoadFactorSweep(scale Scale, seed int64, maxLF int) (actTable, aeTable Table, err error) {
-	return LoadFactorSweepRep(scale, seed, maxLF, 1)
+// fcfsPairs lists the Section IV.B ablation's runs under one setting:
+// min-min, max-min, sufferage and DHEFT, each followed by its FCFS
+// second-phase variant.
+func fcfsPairs(setting Setting) []batchJob {
+	var jobs []batchJob
+	for _, b := range []func() grid.Algorithm{
+		heuristics.NewMinMin, heuristics.NewMaxMin,
+		heuristics.NewSufferage, heuristics.NewDHEFT,
+	} {
+		jobs = append(jobs,
+			batchJob{setting, b},
+			batchJob{setting, func() grid.Algorithm { return heuristics.WithFCFSPhase2(b()) }})
+	}
+	return jobs
 }
 
 // LoadFactorAxis returns the load-factor axis 1..maxLF of the Figs. 7-8
@@ -210,7 +133,8 @@ func LoadFactorAxis(maxLF int) ([]int, error) {
 	return lfs, nil
 }
 
-// LoadFactorSweepRep replicates the Figs. 7-8 load-factor sweep over reps
+// LoadFactorSweepRep runs the Figs. 7-8 load-factor sweep (every algorithm
+// at load factors 1..maxLF, final ACT and AE per cell) over reps
 // independent seeds through the sweep engine; with reps > 1 every cell
 // reports mean ± 95% CI.
 func LoadFactorSweepRep(scale Scale, seed int64, maxLF, reps int) (actTable, aeTable Table, err error) {
@@ -267,14 +191,9 @@ func CCRCases() []CCRCase {
 	}
 }
 
-// CCRSweep runs Figs. 9-10 once: every algorithm across the four CCR cases.
-func CCRSweep(scale Scale, seed int64) (actTable, aeTable Table, err error) {
-	return CCRSweepRep(scale, seed, 1)
-}
-
-// CCRSweepRep replicates the Figs. 9-10 CCR sweep over reps independent
-// seeds through the sweep engine; with reps > 1 every cell reports
-// mean ± 95% CI.
+// CCRSweepRep runs the Figs. 9-10 CCR sweep (every algorithm across the
+// four CCR cases) over reps independent seeds through the sweep engine;
+// with reps > 1 every cell reports mean ± 95% CI.
 func CCRSweepRep(scale Scale, seed int64, reps int) (actTable, aeTable Table, err error) {
 	cases := CCRCases()
 	res, err := RunSweepStream(SweepSpec{
@@ -320,19 +239,17 @@ type ScalabilityPoint struct {
 // ScalabilitySweep runs Fig. 11: DSMF alone at increasing system scale,
 // reporting the gossip space bound and the stable ACT/AE.
 func ScalabilitySweep(base Scale, seed int64, sizes []int) ([]ScalabilityPoint, error) {
-	points := make([]ScalabilityPoint, len(sizes))
-	var jobs []job
+	var jobs []batchJob
 	for _, n := range sizes {
 		scale := base
 		scale.Nodes = n
-		s := NewSetting(scale, stats.SplitSeed(seed, uint64(n)))
-		// Each size's topology is built on the pool, not serially upfront.
-		jobs = append(jobs, job{s, heuristics.NewDSMF, newLazyNet(n, s.Seed).get})
+		jobs = append(jobs, batchJob{NewSetting(scale, stats.SplitSeed(seed, uint64(n))), heuristics.NewDSMF})
 	}
-	results, err := runPool(jobs)
+	results, err := runBatch(jobs)
 	if err != nil {
 		return nil, err
 	}
+	points := make([]ScalabilityPoint, len(sizes))
 	for i, r := range results {
 		points[i] = ScalabilityPoint{
 			Nodes:     sizes[i],
@@ -354,11 +271,7 @@ func ScalabilitySweep(base Scale, seed int64, sizes []int) ([]ScalabilityPoint, 
 // exactly like Figs. 4-10. Setting reschedule=true exercises the paper's
 // future-work extension in every cell.
 func ChurnSweepRep(scale Scale, seed int64, dfs []float64, reschedule bool, reps int) (*SweepResult, error) {
-	return RunSweepStream(churnSweepSpec(scale, seed, dfs, reschedule, reps), RunOptions{})
-}
-
-func churnSweepSpec(scale Scale, seed int64, dfs []float64, reschedule bool, reps int) SweepSpec {
-	return SweepSpec{
+	return RunSweepStream(SweepSpec{
 		Name:         "churn",
 		Scales:       []Scale{scale},
 		Algorithms:   []string{"DSMF"},
@@ -367,49 +280,32 @@ func churnSweepSpec(scale Scale, seed int64, dfs []float64, reschedule bool, rep
 		ChurnFactors: dfs,
 		ChurnLayout:  true,
 		Reschedule:   reschedule,
-	}
+	}, RunOptions{})
 }
 
 // churnLabel names a churn-axis cell the way the paper's legends do.
 func churnLabel(c *Cell) string { return fmt.Sprintf("df=%.1f", c.Scenario.Churn) }
 
-// ChurnSweep is the single-replication compatibility adapter over
-// ChurnSweepRep: one full Result per dynamic factor, relabeled by df the
-// way the original figure runner did. It retains full runs; series
-// consumers that can live with reduced records should use ChurnSweepRep.
-func ChurnSweep(scale Scale, seed int64, dfs []float64, reschedule bool) ([]Result, error) {
-	res, err := RunSweepStream(churnSweepSpec(scale, seed, dfs, reschedule, 1), RunOptions{RetainRuns: true})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(res.Cells))
-	for i := range res.Cells {
-		results[i] = res.Cells[i].Runs[0]
-		results[i].Algo = churnLabel(&res.Cells[i])
-	}
-	return results, nil
-}
-
-// Figure titles shared by the single-run and replicated churn extractors.
+// Figure titles of the churn sweep.
 const (
 	fig12Title = "Fig. 12: Throughput of DSMF in Dynamic Environment"
 	fig13Title = "Fig. 13: Average Finish-Time of DSMF in Dynamic Environment"
 	fig14Title = "Fig. 14: Average Efficiency of DSMF in Dynamic Environment"
 )
 
-// Fig12Throughput, Fig13FinishTime and Fig14Efficiency on a SweepResult
-// extract the churn figures from a ChurnSweepRep run, one curve per
-// dynamic factor with error bars when replicated.
+// Fig12Throughput, Fig13FinishTime and Fig14Efficiency extract the churn
+// figures from a ChurnSweepRep run, one curve per dynamic factor with
+// error bars when replicated.
 func (r *SweepResult) Fig12Throughput() SeriesSet {
 	return r.SeriesBy(fig12Title, "hour", "# of workflows finished", statThroughput, churnLabel)
 }
 
-// Fig13FinishTime extracts the replicated churn ACT series.
+// Fig13FinishTime extracts the churn ACT series.
 func (r *SweepResult) Fig13FinishTime() SeriesSet {
 	return r.SeriesBy(fig13Title, "hour", "ACT (s)", statACT, churnLabel)
 }
 
-// Fig14Efficiency extracts the replicated churn AE series.
+// Fig14Efficiency extracts the churn AE series.
 func (r *SweepResult) Fig14Efficiency() SeriesSet {
 	return r.SeriesBy(fig14Title, "hour", "AE", statAE, churnLabel)
 }
@@ -418,50 +314,6 @@ func (r *SweepResult) Fig14Efficiency() SeriesSet {
 // comparison, one row per dynamic factor.
 func (r *SweepResult) ChurnSummaryTable(title string) Table {
 	return r.summaryTable(title, churnLabel)
-}
-
-// Fig12Throughput, Fig13FinishTime and Fig14Efficiency extract the churn
-// series of a ChurnSweep batch (full Results) in the paper's figure layout.
-func Fig12Throughput(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig12Title,
-		XLabel: "hour", YLabel: "# of workflows finished",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		ys := make([]float64, len(r.Collector.Snapshots))
-		for i, tp := range r.Collector.Throughput() {
-			ys[i] = float64(tp)
-		}
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: ys})
-	}
-	return set
-}
-
-// Fig13FinishTime extracts the churn ACT series.
-func Fig13FinishTime(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig13Title,
-		XLabel: "hour", YLabel: "ACT (s)",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: r.Collector.ACTSeries()})
-	}
-	return set
-}
-
-// Fig14Efficiency extracts the churn AE series.
-func Fig14Efficiency(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig14Title,
-		XLabel: "hour", YLabel: "AE",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: r.Collector.AESeries()})
-	}
-	return set
 }
 
 // TableI returns the experimental-setting table exactly as printed in the

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // Format renders the table as aligned text.
@@ -91,25 +93,22 @@ func (s SeriesSet) Format() string {
 	return b.String()
 }
 
-// FinalRow summarizes a result for comparison tables.
-func (r Result) FinalRow() []string {
-	return []string{
-		r.Algo,
-		fmt.Sprintf("%d", r.Final.Completed),
-		fmt.Sprintf("%d", r.Final.Failed),
-		fmt.Sprintf("%.0f", r.Final.ACT),
-		fmt.Sprintf("%.3f", r.Final.AE),
-	}
-}
-
-// SummaryTable condenses a batch of results into a final-state comparison.
-func SummaryTable(title string, results []Result) Table {
-	t := Table{
+// finalStateTable starts a converged final-state comparison, one
+// finalRow per run.
+func finalStateTable(title string) Table {
+	return Table{
 		Title:  title,
 		Header: []string{"algorithm", "completed", "failed", "ACT(s)", "AE"},
 	}
-	for _, r := range results {
-		t.Rows = append(t.Rows, r.FinalRow())
+}
+
+// finalRow renders one run's converged metrics under label.
+func finalRow(label string, final metrics.Snapshot) []string {
+	return []string{
+		label,
+		fmt.Sprintf("%d", final.Completed),
+		fmt.Sprintf("%d", final.Failed),
+		fmt.Sprintf("%.0f", final.ACT),
+		fmt.Sprintf("%.3f", final.AE),
 	}
-	return t
 }

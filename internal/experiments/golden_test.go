@@ -16,8 +16,9 @@ import (
 // "optimization" changed observable behaviour, not just speed.
 //
 // Regenerate (only after an INTENTIONAL semantic change) by printing
-// r.Algo, r.Final.ACT, r.Final.AE, r.Final.Completed from
-// StaticComparison(TinyScale, goldenSeed) with %v formatting.
+// c.Algo and c.Stats[0].Final's ACT, AE and Completed for every cell of
+// RunSweepStream(staticComparisonSpec(TinyScale, goldenSeed, 1)) with %v
+// formatting.
 func TestGoldenDeterminism(t *testing.T) {
 	const goldenSeed = 2010
 	golden := []struct {
@@ -35,19 +36,20 @@ func TestGoldenDeterminism(t *testing.T) {
 		{"SMF", 13190.577234911616, 1.001781028659834, 60},
 	}
 
-	results, err := StaticComparison(TinyScale, goldenSeed)
+	res, err := RunSweepStream(staticComparisonSpec(TinyScale, goldenSeed, 1), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(golden) {
-		t.Fatalf("got %d results, want %d", len(results), len(golden))
+	if len(res.Cells) != len(golden) {
+		t.Fatalf("got %d cells, want %d", len(res.Cells), len(golden))
 	}
 	for i, want := range golden {
-		got := results[i]
-		if got.Algo != want.algo {
-			t.Errorf("result %d: algorithm %q, want %q", i, got.Algo, want.algo)
+		c := &res.Cells[i]
+		if c.Algo != want.algo {
+			t.Errorf("cell %d: algorithm %q, want %q", i, c.Algo, want.algo)
 			continue
 		}
+		got := c.Stats[0]
 		if bitsDiffer(got.Final.ACT, want.act) {
 			t.Errorf("%s: ACT = %v, want exactly %v", want.algo, got.Final.ACT, want.act)
 		}

@@ -1,44 +1,41 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/heuristics"
 )
 
 func TestReplicateAggregatesAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation in -short mode")
 	}
-	algos := []AlgoFactory{heuristics.NewDSMF, heuristics.NewMinMin}
-	reps, err := Replicate(NewSetting(TinyScale, 3), algos, 3)
+	table, err := ReplicatedFCFSAblation(TinyScale, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 2 {
-		t.Fatalf("got %d aggregates", len(reps))
+	if len(table.Rows) != 4 || !strings.Contains(table.Title, "over 3 seeds") {
+		t.Fatalf("unexpected table:\n%s", table.Format())
 	}
-	for _, r := range reps {
-		if r.Reps != 3 || r.ACT.N != 3 {
-			t.Fatalf("aggregate %s has %d/%d samples", r.Algo, r.Reps, r.ACT.N)
+	for _, row := range table.Rows {
+		for _, cell := range row[1:3] {
+			var mean, std float64
+			if _, err := fmt.Sscanf(cell, "%f ± %f", &mean, &std); err != nil {
+				t.Fatalf("%s: cell %q is not mean ± std: %v", row[0], cell, err)
+			}
+			if mean <= 0 {
+				t.Fatalf("%s: empty aggregate %q", row[0], cell)
+			}
+			// Independent seeds must actually vary.
+			if std == 0 {
+				t.Fatalf("%s: zero variance across seeds in %q", row[0], cell)
+			}
 		}
-		if r.ACT.Mean <= 0 || r.Completed.Mean <= 0 {
-			t.Fatalf("aggregate %s empty: %+v", r.Algo, r)
-		}
-		// Independent seeds must actually vary.
-		if r.ACT.Std == 0 {
-			t.Fatalf("aggregate %s shows zero variance across seeds", r.Algo)
-		}
-	}
-	table := ReplicatedTable("t", reps)
-	if !strings.Contains(table.Format(), "±") {
-		t.Fatal("replicated table missing ± columns")
 	}
 }
 
 func TestReplicateValidatesReps(t *testing.T) {
-	if _, err := Replicate(NewSetting(TinyScale, 1), nil, 0); err == nil {
+	if _, err := ReplicatedFCFSAblation(TinyScale, 1, 0); err == nil {
 		t.Fatal("zero reps accepted")
 	}
 }

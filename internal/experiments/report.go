@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // Report assembles a markdown snapshot of the core reproduction claims
@@ -12,13 +14,14 @@ import (
 // checks and renders pass/fail marks, so a reader can verify the
 // reproduction on their own machine with one command.
 func Report(scale Scale, seed int64) (string, error) {
-	results, err := StaticComparison(scale, seed)
+	res, err := StaticComparisonRep(scale, seed, 1)
 	if err != nil {
 		return "", err
 	}
-	byAlgo := map[string]Result{}
-	for _, r := range results {
-		byAlgo[r.Algo] = r
+	// One replication per algorithm: each cell's Stats[0] is its run.
+	byAlgo := map[string]*metrics.RunStats{}
+	for i := range res.Cells {
+		byAlgo[res.Cells[i].Algo] = &res.Cells[i].Stats[0]
 	}
 	dsmf, smf := byAlgo["DSMF"], byAlgo["SMF"]
 
@@ -40,11 +43,10 @@ func Report(scale Scale, seed int64) (string, error) {
 		}
 		return "FAIL"
 	}
-	earlyIdx := len(dsmf.Collector.Snapshots) / 4
-	early := func(r Result) int {
-		tp := r.Collector.Throughput()
-		if earlyIdx < len(tp) {
-			return tp[earlyIdx]
+	earlyIdx := len(dsmf.Throughput) / 4
+	early := func(r *metrics.RunStats) float64 {
+		if earlyIdx < len(r.Throughput) {
+			return r.Throughput[earlyIdx]
 		}
 		return 0
 	}
@@ -54,11 +56,11 @@ func Report(scale Scale, seed int64) (string, error) {
 		scale.Name, scale.Nodes, seed)
 	b.WriteString("## Converged final state\n\n")
 	b.WriteString("| algorithm | completed | ACT(s) | AE |\n|---|---|---|---|\n")
-	ordered := append([]Result(nil), results...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Final.ACT < ordered[j].Final.ACT })
-	for _, r := range ordered {
-		fmt.Fprintf(&b, "| %s | %d | %.0f | %.3f |\n",
-			r.Algo, r.Final.Completed, r.Final.ACT, r.Final.AE)
+	ordered := append([]Cell(nil), res.Cells...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Stats[0].Final.ACT < ordered[j].Stats[0].Final.ACT })
+	for _, c := range ordered {
+		f := c.Stats[0].Final
+		fmt.Fprintf(&b, "| %s | %d | %.0f | %.3f |\n", c.Algo, f.Completed, f.ACT, f.AE)
 	}
 
 	b.WriteString("\n## Shape checks (paper Section IV)\n\n")

@@ -20,8 +20,8 @@ import (
 // A normalized spec expands into a deterministic job matrix (sweep.go);
 // here jobs run behind the pluggable executor.Executor interface, each
 // (scenario, algorithm) cell is finalized and aggregated the moment its
-// last replication lands (CellObserver), per-run Results are dropped
-// immediately unless the caller opts into retention, topologies are built
+// last replication lands (CellObserver), per-run Results are reduced to
+// RunStats records and dropped immediately, topologies are built
 // lazily per (scale, replication) pair and released when the pair's last
 // job completes, and a content-addressed cell cache lets a re-run with one
 // changed axis execute only the missing cells. RunShard/MergeShards split
@@ -36,8 +36,7 @@ import (
 type CellObserver func(*Cell)
 
 // RunOptions configures one streaming run. The zero value executes the
-// whole matrix on the local bounded pool with no cache, no observer and no
-// run retention.
+// whole matrix on the local bounded pool with no cache and no observer.
 type RunOptions struct {
 	// Executor runs the job matrix; nil means executor.Local{} (a bounded
 	// pool of GOMAXPROCS workers).
@@ -55,11 +54,6 @@ type RunOptions struct {
 	// cache-restored) with the running done count and the matrix total.
 	Progress func(done, total int)
 
-	// RetainRuns keeps every full per-run Result on its cell. Off by
-	// default: a paper-scale sweep's peak memory must not grow with the
-	// replication count.
-	RetainRuns bool
-
 	// Shards runs every simulation on the sharded parallel engine with
 	// this many event lanes (values <= 1: the serial engine). Results and
 	// artifacts are bit-identical across shard counts, so Shards is not
@@ -73,17 +67,16 @@ type RunOptions struct {
 	// observation entirely and the sweep artifact is byte-identical to
 	// pre-observability output. Cache-restored replications carry no
 	// observations (the cell cache schema predates them), and the
-	// adaptive drivers ignore Obs like they ignore RetainRuns, so the
-	// flag is for plain single-host sweeps.
+	// adaptive driver ignores Obs, so the flag is for plain single-host
+	// sweeps.
 	Obs bool
 }
 
 // sweepPlan is a normalized, validated spec with its expansion
 // precomputed: the pure-data side every runner entry point shares.
 type sweepPlan struct {
-	spec      SweepSpec // normalized
-	scens     []Scenario
-	pairSeeds map[pairKey]int64
+	spec  SweepSpec // normalized
+	scens []Scenario
 }
 
 func newSweepPlan(spec SweepSpec) (*sweepPlan, error) {
@@ -91,17 +84,7 @@ func newSweepPlan(spec SweepSpec) (*sweepPlan, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	p := &sweepPlan{
-		spec:      spec,
-		scens:     spec.Scenarios(),
-		pairSeeds: make(map[pairKey]int64, len(spec.Scales)*spec.Reps),
-	}
-	for si := range spec.Scales {
-		for r := 0; r < spec.Reps; r++ {
-			p.pairSeeds[pairKey{si, r}] = sweepSeed(spec.Seed, si, r)
-		}
-	}
-	return p, nil
+	return &sweepPlan{spec: spec, scens: spec.Scenarios()}, nil
 }
 
 func (p *sweepPlan) numCells() int { return len(p.scens) * len(p.spec.Algorithms) }
@@ -118,7 +101,7 @@ func (p *sweepPlan) job(id int) SweepJob {
 		Scenario: sc,
 		Algo:     p.spec.Algorithms[cell%len(p.spec.Algorithms)],
 		Rep:      rep,
-		Seed:     p.pairSeeds[pairKey{sc.ScaleIndex, rep}],
+		Seed:     sweepSeed(p.spec.Seed, sc.ScaleIndex, rep),
 	}
 }
 
@@ -127,7 +110,7 @@ func (p *sweepPlan) cellSeeds(cell int) []int64 {
 	sc := p.scens[cell/len(p.spec.Algorithms)]
 	seeds := make([]int64, p.spec.Reps)
 	for r := range seeds {
-		seeds[r] = p.pairSeeds[pairKey{sc.ScaleIndex, r}]
+		seeds[r] = sweepSeed(p.spec.Seed, sc.ScaleIndex, r)
 	}
 	return seeds
 }
@@ -197,21 +180,29 @@ func storeCellStats(cache executor.Cache, key string, sts []metrics.RunStats) er
 }
 
 // pairNet lazily materializes the shared topology of one (scale,
-// replication) pair on whichever pool worker needs it first, and releases
-// it once the pair's last scheduled job completes — a multi-scale sweep
-// holds at most one scale's replications' topologies at a time instead of
-// the whole matrix's.
+// replication) pair on whichever pool worker needs it first, and the
+// sweep runners release it once the pair's last scheduled job completes —
+// a multi-scale sweep holds at most one scale's replications' topologies
+// at a time instead of the whole matrix's.
 type pairNet struct {
 	once    sync.Once
 	net     *topology.Network
 	err     error
-	pending int // scheduled jobs not yet finished; guarded by sweepState.mu
+	pending int // scheduled jobs not yet finished; guarded by the runner's mutex
+}
+
+// get returns the pair's topology, generating it on first use with the
+// run-seed derivation every topology builder shares (topoConfig).
+func (pn *pairNet) get(nodes int, seed int64) (*topology.Network, error) {
+	pn.once.Do(func() {
+		pn.net, pn.err = topology.Generate(topoConfig(nodes, seed))
+	})
+	return pn.net, pn.err
 }
 
 // cellState tracks one cell mid-flight.
 type cellState struct {
 	acc       *metrics.CellAccumulator
-	runs      []Result           // populated only under RetainRuns
 	obs       []*obs.GridMetrics // per-replication metrics, only under Obs
 	cachedLen int                // replication count of the cache entry we loaded
 	final     *Cell              // set on finalization
@@ -239,7 +230,7 @@ func runMatrix(plan *sweepPlan, opts RunOptions, lo, hi int) (*sweepState, error
 		plan:  plan,
 		opts:  opts,
 		cells: make([]cellState, plan.numCells()),
-		pairs: make(map[pairKey]*pairNet, len(plan.pairSeeds)),
+		pairs: make(map[pairKey]*pairNet),
 	}
 	reps := plan.spec.Reps
 	total := plan.numJobs()
@@ -249,9 +240,6 @@ func runMatrix(plan *sweepPlan, opts RunOptions, lo, hi int) (*sweepState, error
 	for c := range st.cells {
 		cs := &st.cells[c]
 		cs.acc = metrics.NewCellAccumulator(reps)
-		if opts.RetainRuns {
-			cs.runs = make([]Result, reps)
-		}
 		if opts.Obs {
 			cs.obs = make([]*obs.GridMetrics, reps)
 		}
@@ -320,33 +308,25 @@ func runMatrix(plan *sweepPlan, opts RunOptions, lo, hi int) (*sweepState, error
 // the pair's shared topology (first caller generates it), run the
 // algorithm, and reduce the outcome. It is the single simulate-and-reduce
 // sequence behind both the fixed-matrix runner (runJob) and the per-cell
-// adaptive driver; the full Result is returned alongside the reduced
-// record for callers that retain runs.
-func executeSweepJob(sc Scenario, algo string, rep int, seed int64, reschedule bool, shards int, observe bool, pn *pairNet) (metrics.RunStats, Result, error) {
-	pn.once.Do(func() {
-		pn.net, pn.err = topology.Generate(topoConfig(sc.Scale.Nodes, seed))
-	})
-	if pn.err != nil {
-		return metrics.RunStats{}, Result{}, fmt.Errorf("experiments: sweep topology (scale %s, rep %d): %w",
-			sc.Scale.Name, rep, pn.err)
+// adaptive driver. A non-nil gm collects the run's latency histograms.
+func executeSweepJob(sc Scenario, algo string, rep int, seed int64, reschedule bool, shards int, gm *obs.GridMetrics, pn *pairNet) (metrics.RunStats, error) {
+	net, err := pn.get(sc.Scale.Nodes, seed)
+	if err != nil {
+		return metrics.RunStats{}, fmt.Errorf("experiments: sweep topology (scale %s, rep %d): %w",
+			sc.Scale.Name, rep, err)
 	}
 	a, err := heuristics.ByName(algo)
 	if err != nil {
-		return metrics.RunStats{}, Result{}, err // unreachable after validate; belt and braces
+		return metrics.RunStats{}, err // unreachable after validate; belt and braces
 	}
-	setting := sc.setting(seed, pn.net, reschedule)
+	setting := sc.setting(seed, net, reschedule)
 	setting.Shards = shards
-	if observe {
-		// The collected metrics travel back on the returned Result's
-		// Setting (Run copies the setting verbatim), so no extra return
-		// threads through the executor plumbing.
-		setting.Obs = obs.NewGridMetrics()
-	}
+	setting.Obs = gm
 	res, err := Run(setting, a)
 	if err != nil {
-		return metrics.RunStats{}, Result{}, err
+		return metrics.RunStats{}, err
 	}
-	return metrics.ReduceRun(&res.Collector, res.Final, res.Submitted, res.CCR), res, nil
+	return metrics.ReduceRun(&res.Collector, res.Final, res.Submitted, res.CCR), nil
 }
 
 // runJob executes one job on a pool worker: simulate via executeSweepJob
@@ -357,7 +337,11 @@ func (st *sweepState) runJob(id int) error {
 	st.mu.Lock()
 	pn := st.pairs[pk]
 	st.mu.Unlock()
-	sts, res, err := executeSweepJob(j.Scenario, j.Algo, j.Rep, j.Seed, st.plan.spec.Reschedule, st.opts.Shards, st.opts.Obs, pn)
+	var gm *obs.GridMetrics
+	if st.opts.Obs {
+		gm = obs.NewGridMetrics()
+	}
+	sts, err := executeSweepJob(j.Scenario, j.Algo, j.Rep, j.Seed, st.plan.spec.Reschedule, st.opts.Shards, gm, pn)
 	if err != nil {
 		return err
 	}
@@ -368,11 +352,8 @@ func (st *sweepState) runJob(id int) error {
 		st.mu.Unlock()
 		return err
 	}
-	if st.opts.RetainRuns {
-		cs.runs[j.Rep] = res
-	}
 	if st.opts.Obs {
-		cs.obs[j.Rep] = res.Setting.Obs
+		cs.obs[j.Rep] = gm
 	}
 	st.done++
 	if st.opts.Progress != nil {
@@ -384,9 +365,7 @@ func (st *sweepState) runJob(id int) error {
 	}
 	pn.pending--
 	if pn.pending == 0 {
-		// Last job of the pair: release the topology (each retained Result
-		// still references it when the caller opted into retention).
-		pn.net = nil
+		pn.net = nil // last job of the pair: release the topology
 	}
 	st.mu.Unlock()
 	if toStore != nil {
@@ -409,7 +388,6 @@ func (st *sweepState) finalizeCellLocked(c int) (toStore *Cell) {
 		Algo:     plan.spec.Algorithms[c%len(plan.spec.Algorithms)],
 		Seeds:    plan.cellSeeds(c),
 		Stats:    cs.acc.Stats(),
-		Runs:     cs.runs,
 		Agg:      cs.acc.Aggregate(),
 	}
 	if st.opts.Obs {
@@ -450,11 +428,13 @@ func (st *sweepState) result() (*SweepResult, error) {
 }
 
 // RunSweepStream executes the full job matrix through the streaming
-// runner. It is the primary entry point of the redesigned API: cells
-// finalize (aggregate + cache + observer) the moment their last
-// replication lands, and per-run Results are dropped immediately unless
-// opts.RetainRuns is set, so peak memory is bounded by the in-flight runs
-// rather than by the matrix size.
+// runner. The optional opts.Progress callback is invoked serially after
+// every completed run with (done, total). Cells finalize (aggregate +
+// cache + observer) the moment their last replication lands, and per-run
+// Results are dropped immediately, so peak memory is bounded by the
+// in-flight runs rather than by the matrix size. The result is a pure
+// function of the spec: the same spec produces bit-identical metrics and
+// byte-identical JSON.
 func RunSweepStream(spec SweepSpec, opts RunOptions) (*SweepResult, error) {
 	plan, err := newSweepPlan(spec)
 	if err != nil {
@@ -602,8 +582,8 @@ func DecodeShard(data []byte) (*ShardResult, error) {
 		// Lo/Hi are derived for ID-set shards: the recorded values are
 		// display hints, the set is authoritative.
 		s.Lo, s.Hi = s.IDs[0], s.IDs[len(s.IDs)-1]+1
-	} else if s.Hi-s.Lo != len(s.Stats) {
-		return nil, fmt.Errorf("experiments: shard window [%d,%d) holds %d stats", s.Lo, s.Hi, len(s.Stats))
+	} else if s.Lo < 0 || s.Hi > s.Jobs || s.Hi-s.Lo != len(s.Stats) {
+		return nil, fmt.Errorf("experiments: shard window [%d,%d) of %d jobs holds %d stats", s.Lo, s.Hi, s.Jobs, len(s.Stats))
 	}
 	if n, err := s.Spec.NumJobs(); err != nil {
 		return nil, err
@@ -627,15 +607,27 @@ func MergeShards(parts ...*ShardResult) (*SweepResult, error) {
 	copy(sorted, parts)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lo < sorted[j].Lo })
 	first := sorted[0]
-	for _, p := range sorted[1:] {
+	covered := 0
+	for _, p := range sorted {
 		if p.Hash != first.Hash {
 			return nil, fmt.Errorf("experiments: shard spec hashes differ (%.12s… vs %.12s…)", p.Hash, first.Hash)
 		}
+		if p.NumCovered() != len(p.Stats) {
+			return nil, fmt.Errorf("experiments: shard [%d,%d) covers %d jobs but holds %d stats", p.Lo, p.Hi, p.NumCovered(), len(p.Stats))
+		}
+		covered += len(p.Stats)
 	}
+	// The record count must match the matrix before anything is sized from
+	// Jobs or Reps: a crafted shard can claim an astronomically large
+	// matrix while carrying a handful of records.
+	if covered != first.Jobs {
+		return nil, fmt.Errorf("experiments: shards cover %d job records of a %d-job matrix (gap or overlap)", covered, first.Jobs)
+	}
+	// With the count equal to Jobs, in-range and overlap-free IDs cover
+	// every job: no separate gap scan is needed.
 	seen := make([]bool, first.Jobs)
-	covered := 0
 	for _, p := range sorted {
-		for i := 0; i < p.NumCovered(); i++ {
+		for i := range p.Stats {
 			id := p.jobID(i)
 			if id < 0 || id >= len(seen) {
 				return nil, fmt.Errorf("experiments: shard job ID %d outside [0,%d)", id, len(seen))
@@ -644,23 +636,17 @@ func MergeShards(parts ...*ShardResult) (*SweepResult, error) {
 				return nil, fmt.Errorf("experiments: shards overlap at job %d", id)
 			}
 			seen[id] = true
-			covered++
-		}
-	}
-	if covered != first.Jobs {
-		for id, ok := range seen {
-			if !ok {
-				return nil, fmt.Errorf("experiments: shard coverage gap: job %d missing (%d of %d covered)", id, covered, first.Jobs)
-			}
 		}
 	}
 
+	if n, err := first.Spec.NumJobs(); err != nil {
+		return nil, err
+	} else if n != first.Jobs {
+		return nil, fmt.Errorf("experiments: merged spec expands to %d jobs, shards cover %d", n, first.Jobs)
+	}
 	plan, err := newSweepPlan(first.Spec)
 	if err != nil {
 		return nil, err
-	}
-	if plan.numJobs() != first.Jobs {
-		return nil, fmt.Errorf("experiments: merged spec expands to %d jobs, shards cover %d", plan.numJobs(), first.Jobs)
 	}
 	accs := make([]*metrics.CellAccumulator, plan.numCells())
 	for c := range accs {
@@ -687,53 +673,6 @@ func MergeShards(parts ...*ShardResult) (*SweepResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// RunAdaptive grows the replication count in batches until every cell's
-// ACT 95% confidence half-width is at most precision × |mean ACT|, capped
-// at the spec's Reps (the first cut of sequential sampling: batches are
-// global, so every cell advances to the same replication count until all
-// converge). Batches reuse each other's work through the cell cache —
-// opts.Cache when provided, otherwise a process-local memory cache — so a
-// batch only executes the replications beyond the previous batch's.
-// The returned result is bit-identical to a direct run at its final Reps.
-func RunAdaptive(spec SweepSpec, precision float64, opts RunOptions) (*SweepResult, error) {
-	if precision <= 0 {
-		return nil, fmt.Errorf("experiments: adaptive precision must be positive, got %v", precision)
-	}
-	maxReps := spec.withDefaults().Reps
-	if opts.Cache == nil {
-		opts.Cache = executor.NewMemory()
-	}
-	reps := 3 // the smallest batch with a non-degenerate t-interval plus one
-	if reps > maxReps {
-		reps = maxReps
-	}
-	for {
-		spec.Reps = reps
-		res, err := RunSweepStream(spec, opts)
-		if err != nil {
-			return nil, err
-		}
-		if reps >= maxReps || adaptiveConverged(res, precision) {
-			return res, nil
-		}
-		reps *= 2
-		if reps > maxReps {
-			reps = maxReps
-		}
-	}
-}
-
-// adaptiveConverged reports whether every cell's ACT interval meets the
-// relative precision target.
-func adaptiveConverged(res *SweepResult, precision float64) bool {
-	for i := range res.Cells {
-		if !precisionMet(res.Cells[i].Agg.ACT, precision) {
-			return false
-		}
-	}
-	return true
 }
 
 // precisionMet reports whether one ACT interval estimate meets the
@@ -804,11 +743,11 @@ const adaptiveRepCeiling = 1 << 14
 
 // RunAdaptiveCells grows every cell's replication count independently
 // until that cell's ACT 95% confidence half-width is at most precision ×
-// |mean ACT|: per-cell sequential stopping, the successor of the global
-// batches of RunAdaptive. Cells start at adaptiveRepFloor replications and
-// double until they converge or hit maxReps (non-positive maxReps means
-// uncapped, bounded only by adaptiveRepCeiling), so a sweep stops spending
-// seeds on already-tight cells while a high-variance cell keeps sampling.
+// |mean ACT|: per-cell sequential stopping. Cells start at
+// adaptiveRepFloor replications and double until they converge or hit
+// maxReps (non-positive maxReps means uncapped, bounded only by
+// adaptiveRepCeiling), so a sweep stops spending seeds on already-tight
+// cells while a high-variance cell keeps sampling.
 //
 // The result is ragged: each cell carries exactly the replications it
 // needed (Spec.Reps reports the largest cell), which the sweep JSON
@@ -816,9 +755,8 @@ const adaptiveRepCeiling = 1 << 14
 // work through the cell cache — opts.Cache when provided, otherwise a
 // process-local memory cache — and a warm re-run replays cached
 // replications in place of executing them, so cold and warm runs produce
-// identical results. opts.RetainRuns is not supported here (the driver
-// never holds full Results) and is ignored; opts.Executor must execute
-// every id it is given (do not pass executor.Shard).
+// identical results. opts.Executor must execute every id it is given (do
+// not pass executor.Shard).
 func RunAdaptiveCells(spec SweepSpec, precision float64, maxReps int, opts RunOptions) (*SweepResult, error) {
 	if precision <= 0 {
 		return nil, fmt.Errorf("experiments: adaptive precision must be positive, got %v", precision)
@@ -922,7 +860,7 @@ func RunAdaptiveCells(spec SweepSpec, precision float64, maxReps int, opts RunOp
 				mu.Lock()
 				pn := pairs[pk]
 				mu.Unlock()
-				sts, _, err := executeSweepJob(sc, algos[j.cell%len(algos)], j.rep, j.seed, spec.Reschedule, opts.Shards, false, pn)
+				sts, err := executeSweepJob(sc, algos[j.cell%len(algos)], j.rep, j.seed, spec.Reschedule, opts.Shards, nil, pn)
 				if err != nil {
 					return err
 				}

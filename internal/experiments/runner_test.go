@@ -157,7 +157,7 @@ func TestSpecHashEqualBehaviorArrivalSpellings(t *testing.T) {
 // TestShardMergeByteIdentical is the distributed-sweep acceptance test: a
 // tiny sweep split into three uneven shards, JSON round-tripped (as files
 // would be) and merged, must produce byte-identical sweep JSON to the
-// single-host run — and to the batch RunSweep adapter.
+// single-host run.
 func TestShardMergeByteIdentical(t *testing.T) {
 	spec := microSpec([]string{"DSMF", "min-min"}, 2, 7)
 	single, err := RunSweepStream(spec, RunOptions{})
@@ -165,14 +165,6 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mustJSON(t, single)
-
-	batch, err := RunSweep(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, mustJSON(t, batch)) {
-		t.Fatal("streaming and batch-adapter JSON differ")
-	}
 
 	// 4 jobs over 3 shards: ranges [0,1), [1,2), [2,4) — deliberately
 	// uneven, and the last one straddles the cell boundary.
@@ -345,31 +337,26 @@ func TestCacheWarmStart(t *testing.T) {
 	}
 }
 
-func TestStreamingDropsRunsUnlessRetained(t *testing.T) {
+// TestStreamingCellsCarryReducedStats checks that a finalized cell keeps
+// one reduced record per replication — equal to a standalone run of that
+// replication's seed — and that the figure series read from them.
+func TestStreamingCellsCarryReducedStats(t *testing.T) {
 	spec := microSpec([]string{"DSMF"}, 2, 7)
 	streamed, err := RunSweepStream(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := streamed.Cells[0]
-	if c.Runs != nil {
-		t.Fatal("streaming run retained full Results without opting in")
-	}
 	if len(c.Stats) != 2 || len(c.Stats[0].Hours) == 0 {
 		t.Fatalf("reduced stats missing: %+v", c.Stats)
 	}
-	retained, err := RunSweepStream(spec, RunOptions{RetainRuns: true})
+	alone, err := Run(NewSetting(microScale, c.Seeds[1]), heuristics.NewDSMF())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := retained.Cells[0]
-	if len(rc.Runs) != 2 || rc.Runs[0].Collector.Snapshots == nil {
-		t.Fatal("retention did not keep full Results")
+	if alone.Final != c.Stats[1].Final {
+		t.Fatal("replication 1's reduced record disagrees with a standalone run of its seed")
 	}
-	if rc.Runs[1].Final != rc.Stats[1].Final {
-		t.Fatal("retained Result and reduced stats disagree")
-	}
-	// The streamed figure series still work without retained runs.
 	set := streamed.Fig5FinishTime()
 	if len(set.Series) != 1 || len(set.X) == 0 || len(set.Series[0].Err) != len(set.Series[0].Y) {
 		t.Fatalf("streamed series broken: %+v", set)
@@ -407,11 +394,11 @@ func cellDone(c *Cell) bool {
 	return len(c.Stats) == c.Agg.Reps && c.Agg.ACT.N == c.Agg.Reps
 }
 
-func TestRunAdaptiveStopsEarlyAndAtCap(t *testing.T) {
+func TestRunAdaptiveCellsStopsEarlyAndAtCap(t *testing.T) {
 	spec := microSpec([]string{"DSMF"}, 8, 7)
 	// A precision no real data misses: converges at the first batch (3).
 	ce := &countingExecutor{}
-	loose, err := RunAdaptive(spec, 100, RunOptions{Executor: ce})
+	loose, err := RunAdaptiveCells(spec, 100, 8, RunOptions{Executor: ce})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +410,7 @@ func TestRunAdaptiveStopsEarlyAndAtCap(t *testing.T) {
 	}
 	// A precision no real data meets: runs to the cap, reusing batches.
 	ce2 := &countingExecutor{}
-	tight, err := RunAdaptive(spec, 1e-12, RunOptions{Executor: ce2})
+	tight, err := RunAdaptiveCells(spec, 1e-12, 8, RunOptions{Executor: ce2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,19 +428,19 @@ func TestRunAdaptiveStopsEarlyAndAtCap(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, tight), mustJSON(t, direct)) {
 		t.Fatal("adaptive result differs from direct run at the same reps")
 	}
-	if _, err := RunAdaptive(spec, 0, RunOptions{}); err == nil {
+	if _, err := RunAdaptiveCells(spec, 0, 8, RunOptions{}); err == nil {
 		t.Error("non-positive precision accepted")
 	}
 }
 
 // TestChurnSweepFoldPreservesSemantics pins the churn-axis fold: the sweep
-// engine's churn cells must reproduce the original hand-rolled ChurnSweep
+// engine's churn cells must reproduce the original hand-rolled churn
 // settings bit-for-bit (half homes at double load factor, shared topology,
 // per-df churn seed, df=0 keeping the layout).
 func TestChurnSweepFoldPreservesSemantics(t *testing.T) {
 	scale := microScale
 	const seed = 13
-	// The pre-fold construction, inlined from the original ChurnSweep.
+	// The pre-fold construction of the original churn figure runner.
 	base := NewSetting(scale, seed)
 	if _, err := base.BuildNet(); err != nil {
 		t.Fatal(err)
@@ -474,19 +461,19 @@ func TestChurnSweepFoldPreservesSemantics(t *testing.T) {
 		}
 		return res
 	}
-	results, err := ChurnSweep(scale, seed, []float64{0, 0.3}, false)
+	res, err := ChurnSweepRep(scale, seed, []float64{0, 0.3}, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, df := range []float64{0, 0.3} {
 		want := oldStyle(df)
-		if results[i].Final != want.Final {
+		if got := res.Cells[i].Stats[0].Final; got != want.Final {
 			t.Errorf("df=%.1f diverged from the pre-fold construction:\n%+v\nvs\n%+v",
-				df, results[i].Final, want.Final)
+				df, got, want.Final)
 		}
 	}
-	if results[1].Algo != "df=0.3" {
-		t.Fatalf("labels: %q", results[1].Algo)
+	if label := churnLabel(&res.Cells[1]); label != "df=0.3" {
+		t.Fatalf("labels: %q", label)
 	}
 }
 
@@ -545,8 +532,8 @@ func TestRunShardValidatesArguments(t *testing.T) {
 // TestRunAdaptiveCellsStopsPerCell is the per-cell stopping acceptance
 // test: on a sweep with one deliberately high-variance cell (HEFT's ACT at
 // micro scale swings far more across seeds than min-min's), the per-cell
-// stopper issues fewer total replications than the global-batch path at
-// the same precision, because converged cells stop drawing seeds while the
+// stopper issues fewer total replications than global batches would at the
+// same precision, because converged cells stop drawing seeds while the
 // noisy cell keeps sampling.
 func TestRunAdaptiveCellsStopsPerCell(t *testing.T) {
 	// Measured at micro scale, seed 7: the 3-rep ACT CI/mean ratios are
@@ -578,23 +565,8 @@ func TestRunAdaptiveCellsStopsPerCell(t *testing.T) {
 		t.Fatalf("ragged Spec.Reps = %d, want the largest cell (6)", ragged.Spec.Reps)
 	}
 	if perCellJobs != 15 {
+		// Global batches would advance all three cells to 6: 18 jobs.
 		t.Fatalf("per-cell stopper executed %d jobs, want 15 (3+6+6)", perCellJobs)
-	}
-
-	// The global-batch path at the same precision advances every cell to
-	// the same count until all converge: strictly more work.
-	gspec := spec
-	gspec.Reps = 64 // generous cap so the comparison is about stopping, not capping
-	ge := &countingExecutor{}
-	global, err := RunAdaptive(gspec, precision, RunOptions{Executor: ge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if global.Spec.Reps != 6 {
-		t.Fatalf("global batches stopped at %d reps, want 6", global.Spec.Reps)
-	}
-	if ge.jobs <= perCellJobs {
-		t.Fatalf("global path executed %d jobs, per-cell %d — per-cell must issue fewer", ge.jobs, perCellJobs)
 	}
 
 	// Each converged cell's interval matches a direct run at its count

@@ -30,7 +30,7 @@ func pinSpec() SweepSpec {
 const (
 	// SpecHash of pinSpec before the SLA axis existed.
 	pinSpecHash = "4d72a315fbfdb24be246f98e9d41a13a699e5c820cb642ea1488c63b987f9d44"
-	// sha256 of RunSweep(pinSpec).JSON() before the SLA axis existed.
+	// sha256 of RunSweepStream(pinSpec).JSON() before the SLA axis existed.
 	pinJSONSHA = "335bac19194041f4d6bbc0270fdd770f35d03bdca68462b6ddea48b850392d24"
 	// Canonical JSON of pinSpec's first scenario before the SLA axis
 	// existed: the exact bytes cellKeyFor hashes into every warm-start
@@ -81,7 +81,7 @@ func TestSLADefaultCaseCollapses(t *testing.T) {
 // and pins the artifact bytes: with no SLA axis the sweep JSON must be
 // byte-identical to the pre-economy commit.
 func TestSLAAxisAbsentArtifactIdentity(t *testing.T) {
-	res, err := RunSweep(pinSpec(), nil)
+	res, err := RunSweepStream(pinSpec(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

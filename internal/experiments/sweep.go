@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/grid"
 	"repro/internal/heuristics"
@@ -21,8 +22,8 @@ import (
 // algorithm axis and replicated over independent seeds. The spec side is
 // pure data — canonical expansion order (Scenarios, Jobs), seed derivation
 // and content hashing (SpecHash) — while execution lives in runner.go
-// behind the Executor interface. RunSweep survives as the batch-style
-// compatibility adapter over the streaming runner.
+// behind the Executor interface (RunSweepStream and its shard, cell-unit
+// and adaptive siblings).
 
 // CodeVersion fingerprints the simulation semantics and participates in
 // SpecHash and in every warm-start cache key. Bump it whenever a change
@@ -141,6 +142,11 @@ func (sp SweepSpec) validate() error {
 	if len(sp.Scales) == 0 {
 		return fmt.Errorf("experiments: sweep needs at least one scale")
 	}
+	// Job IDs index the whole matrix, so its size must fit an int: a
+	// crafted shard or work directory must not wrap the count around.
+	if _, ok := sp.jobCount(); !ok {
+		return fmt.Errorf("experiments: sweep job count overflows (%d replications)", sp.Reps)
+	}
 	for _, name := range sp.Algorithms {
 		if _, err := heuristics.ByName(name); err != nil {
 			return err
@@ -167,6 +173,21 @@ func (sp SweepSpec) validate() error {
 		}
 	}
 	return nil
+}
+
+// jobCount is the size of a normalized spec's job matrix (scenarios x
+// algorithms x replications), computed from the axis lengths without
+// expanding them; ok is false when the count overflows an int.
+func (sp SweepSpec) jobCount() (n int, ok bool) {
+	n = sp.Reps
+	for _, axis := range []int{len(sp.Scales), len(sp.ChurnFactors), len(sp.LoadFactors),
+		len(sp.CCRCases), len(sp.Arrivals), max(len(sp.SLAs), 1), len(sp.Algorithms)} {
+		if n > math.MaxInt/axis {
+			return 0, false
+		}
+		n *= axis
+	}
+	return n, true
 }
 
 // SpecHash fingerprints the normalized spec: a SHA-256 over CodeVersion
@@ -335,13 +356,15 @@ func (sp SweepSpec) Jobs() ([]SweepJob, error) {
 }
 
 // NumJobs returns the size of the spec's job matrix
-// (scenarios x algorithms x replications).
+// (scenarios x algorithms x replications) without expanding it, so a
+// spec read from disk costs time proportional to its own size.
 func (sp SweepSpec) NumJobs() (int, error) {
-	plan, err := newSweepPlan(sp)
-	if err != nil {
+	sp = sp.withDefaults()
+	if err := sp.validate(); err != nil {
 		return 0, err
 	}
-	return plan.numJobs(), nil
+	n, _ := sp.jobCount()
+	return n, nil
 }
 
 // pairKey identifies one (scale, replication) pair: the unit that shares a
@@ -373,12 +396,6 @@ type Cell struct {
 	// everything aggregates, summary tables and figure series need.
 	Stats []metrics.RunStats
 
-	// Runs holds the full per-replication Results. The streaming runner
-	// drops them the moment the cell finalizes; they are populated only
-	// when the caller opts into retention (RunOptions.RetainRuns, which
-	// the batch RunSweep adapter does for compatibility).
-	Runs []Result
-
 	Agg metrics.RunAggregate
 
 	// Obs is the merged virtual-time distribution block of the cell's
@@ -394,21 +411,6 @@ type SweepResult struct {
 	Spec      SweepSpec
 	Scenarios []Scenario
 	Cells     []Cell
-}
-
-// RunSweep expands the spec into per-replication jobs, executes them on the
-// bounded worker pool and aggregates each cell. The optional progress
-// callback is invoked serially after every completed run with (done, total).
-// The result is a pure function of the spec: the same spec produces
-// bit-identical metrics and byte-identical JSON.
-//
-// RunSweep is the batch-compatibility adapter over the streaming runner:
-// it retains every per-run Result on its cells (Cell.Runs), which is what
-// the single-replication figure extractors and the golden tests consume.
-// Callers that do not need full runs should use RunSweepStream, which
-// drops them as cells finalize.
-func RunSweep(spec SweepSpec, progress func(done, total int)) (*SweepResult, error) {
-	return RunSweepStream(spec, RunOptions{Progress: progress, RetainRuns: true})
 }
 
 // Series extracts one error-bar curve per algorithm of a single-scenario
@@ -476,22 +478,12 @@ func (r *SweepResult) SummaryTable(title string) Table {
 }
 
 func (r *SweepResult) summaryTable(title string, label func(*Cell) string) Table {
-	t := Table{
-		Title:  title,
-		Header: []string{"algorithm", "completed", "failed", "ACT(s)", "AE"},
-	}
+	t := finalStateTable(title)
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		if r.Spec.Reps == 1 {
 			// Single replication: the exact single-run layout (plain ints).
-			final := c.Stats[0].Final
-			t.Rows = append(t.Rows, []string{
-				label(c),
-				fmt.Sprintf("%d", final.Completed),
-				fmt.Sprintf("%d", final.Failed),
-				fmt.Sprintf("%.0f", final.ACT),
-				fmt.Sprintf("%.3f", final.AE),
-			})
+			t.Rows = append(t.Rows, finalRow(label(c), c.Stats[0].Final))
 			continue
 		}
 		t.Rows = append(t.Rows, []string{

@@ -10,7 +10,7 @@ import (
 	"repro/internal/heuristics"
 )
 
-// microScale keeps sweep tests fast: a full RunSweep cell completes in
+// microScale keeps sweep tests fast: a full sweep cell completes in
 // milliseconds.
 var microScale = Scale{Name: "micro", Nodes: 30, LoadFactor: 1, HorizonHours: 4, SnapshotHours: 1}
 
@@ -85,8 +85,8 @@ func TestSweepSpecValidate(t *testing.T) {
 		{"churn above 1", SweepSpec{Scales: []Scale{TinyScale}, ChurnFactors: []float64{1.5}}},
 		{"negative load factor", SweepSpec{Scales: []Scale{TinyScale}, LoadFactors: []int{-1}}},
 	} {
-		if _, err := RunSweep(tc.spec, nil); err == nil {
-			t.Errorf("%s: RunSweep accepted invalid spec", tc.name)
+		if _, err := RunSweepStream(tc.spec, RunOptions{}); err == nil {
+			t.Errorf("%s: RunSweepStream accepted invalid spec", tc.name)
 		}
 	}
 }
@@ -127,7 +127,7 @@ func TestRunSweepDeterministicJSON(t *testing.T) {
 		Seed:       7,
 	}
 	run := func() []byte {
-		res, err := RunSweep(spec, nil)
+		res, err := RunSweepStream(spec, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,12 +175,12 @@ func TestRunSweepDeterministicJSON(t *testing.T) {
 
 func TestRunSweepRepZeroMatchesSingleRun(t *testing.T) {
 	const seed = 42
-	res, err := RunSweep(SweepSpec{
+	res, err := RunSweepStream(SweepSpec{
 		Scales:     []Scale{microScale},
 		Algorithms: []string{"DSMF"},
 		Reps:       3,
 		Seed:       seed,
-	}, nil)
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,16 +189,16 @@ func TestRunSweepRepZeroMatchesSingleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell.Runs[0].Final != single.Final {
+	if cell.Stats[0].Final != single.Final {
 		t.Fatalf("replication 0 diverged from the single-seed run:\n%+v\nvs\n%+v",
-			cell.Runs[0].Final, single.Final)
+			cell.Stats[0].Final, single.Final)
 	}
 	// Aggregate mean must be the plain mean of the replications.
 	var mean float64
-	for _, r := range cell.Runs {
-		mean += r.Final.ACT
+	for _, st := range cell.Stats {
+		mean += st.Final.ACT
 	}
-	mean /= float64(len(cell.Runs))
+	mean /= float64(len(cell.Stats))
 	if math.Abs(cell.Agg.ACT.Mean-mean) > 1e-9 {
 		t.Fatalf("aggregate ACT mean %v, want %v", cell.Agg.ACT.Mean, mean)
 	}
@@ -210,15 +210,15 @@ func TestRunSweepRepZeroMatchesSingleRun(t *testing.T) {
 func TestRunSweepProgressAndErrorBars(t *testing.T) {
 	var calls int
 	var lastDone, lastTotal int
-	res, err := RunSweep(SweepSpec{
+	res, err := RunSweepStream(SweepSpec{
 		Scales:     []Scale{microScale},
 		Algorithms: []string{"DSMF", "SMF"},
 		Reps:       2,
 		Seed:       3,
-	}, func(done, total int) {
+	}, RunOptions{Progress: func(done, total int) {
 		calls++
 		lastDone, lastTotal = done, total
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,43 +253,43 @@ func TestRunSweepProgressAndErrorBars(t *testing.T) {
 }
 
 func TestStaticComparisonRepSharesScenarioInputs(t *testing.T) {
-	res, err := RunSweep(SweepSpec{
+	res, err := RunSweepStream(SweepSpec{
 		Scales:     []Scale{microScale},
 		Algorithms: []string{"DSMF", "min-min"},
 		Reps:       2,
 		Seed:       9,
-	}, nil)
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dsmf, minmin := res.Cells[0], res.Cells[1]
-	for r := range dsmf.Runs {
-		if dsmf.Runs[r].Submitted != minmin.Runs[r].Submitted {
+	for r := range dsmf.Stats {
+		if dsmf.Stats[r].Submitted != minmin.Stats[r].Submitted {
 			t.Fatalf("rep %d: algorithms faced different workload sizes", r)
 		}
 		if dsmf.Seeds[r] != minmin.Seeds[r] {
 			t.Fatalf("rep %d: algorithms got different seeds (pairing broken)", r)
 		}
 	}
-	if dsmf.Runs[0].Final.ACT == dsmf.Runs[1].Final.ACT {
+	if dsmf.Stats[0].Final.ACT == dsmf.Stats[1].Final.ACT {
 		t.Fatal("replications produced identical ACT (independence broken)")
 	}
 }
 
 func TestChurnScenarioKeepsWorkflowTotal(t *testing.T) {
-	res, err := RunSweep(SweepSpec{
+	res, err := RunSweepStream(SweepSpec{
 		Scales:       []Scale{microScale},
 		Algorithms:   []string{"DSMF"},
 		ChurnFactors: []float64{0, 0.3},
 		Seed:         5,
-	}, nil)
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	static, churny := res.Cells[0], res.Cells[1]
-	if static.Runs[0].Submitted != churny.Runs[0].Submitted {
+	if static.Stats[0].Submitted != churny.Stats[0].Submitted {
 		t.Fatalf("churn cell submitted %d workflows, static %d: totals must match",
-			churny.Runs[0].Submitted, static.Runs[0].Submitted)
+			churny.Stats[0].Submitted, static.Stats[0].Submitted)
 	}
 	if churny.Scenario.Churn != 0.3 {
 		t.Fatalf("cell order wrong: %+v", churny.Scenario)
